@@ -14,9 +14,10 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .series import Series, SeriesError
-from . import mocktheta, partitions, registry
-from .family_gf import FAMILY_NAMES, family_gf_series
+from .series import SeriesError
+from . import partitions, recipes, registry
+from .mocktheta import MockThetaForm
+from .recipes import FamilyGF, Theta
 
 MAX_ORDER_ENV = "QPLAB_MAX_ORDER"
 
@@ -41,20 +42,13 @@ def _capped(order: int) -> int:
 # verify
 
 def _format_report(report: registry.IdentityReport, expected_mismatch: bool) -> str:
-    if report.status == registry.STATUS_PASS:
-        label = "PASS"
-        detail = ""
-    elif report.status == registry.STATUS_MISMATCH and expected_mismatch:
-        label = "XFAIL"
+    label, detail = "PASS", ""
+    if report.status == registry.STATUS_MISMATCH:
         m = report.mismatch
-        detail = f"  mismatch at n={m.index}: lhs={m.lhs} rhs={m.rhs} (expected)"
-    elif report.status == registry.STATUS_MISMATCH:
-        label = "FAIL"
-        m = report.mismatch
+        label = "XFAIL" if expected_mismatch else "FAIL"
         detail = f"  mismatch at n={m.index}: lhs={m.lhs} rhs={m.rhs}"
-    else:
-        label = "SKIP"
-        detail = f"  {report.skipped_reason}"
+        if expected_mismatch:
+            detail += " (expected)"
     return (
         f"{label:<6} {report.id:<34} order={report.order_checked:<4}"
         f" {report.elapsed_ms:>5}ms{detail}"
@@ -111,130 +105,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # coeffs
 
-def _parse_rational(text: str, order: int) -> Series:
-    """Parse integer polynomial arithmetic in q into a truncated series.
-
-    Grammar: + - * / ^ with parentheses, the variable q and integer
-    literals.  Division inverts the divisor, so its constant term must be
-    a unit; exponents may be negative for unit-constant bases.
-    """
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()q":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise SeriesError(f"unexpected character {ch!r} in rational expression")
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> Series:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> Series:
-        node = parse_unary()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_unary()
-            node = node * rhs if op == "*" else node * rhs.invert()
-        return node
-
-    def parse_unary() -> Series:
-        if peek() == "-":
-            take()
-            return -parse_unary()
-        if peek() == "+":
-            take()
-            return parse_unary()
-        return parse_power()
-
-    def parse_power() -> Series:
-        base = parse_atom()
-        if peek() == "^":
-            take()
-            negative = False
-            if peek() == "-":
-                take()
-                negative = True
-            tok = take()
-            if not tok.isdigit():
-                raise SeriesError("exponent must be an integer")
-            k = int(tok)
-            if negative:
-                base = base.invert()
-            out = Series.one(order)
-            for _ in range(k):
-                out = out * base
-            return out
-        return base
-
-    def parse_atom() -> Series:
-        tok = peek()
-        if tok == "(":
-            take()
-            node = parse_expr()
-            if peek() != ")":
-                raise SeriesError("unbalanced parentheses in rational expression")
-            take()
-            return node
-        if tok == "q":
-            take()
-            return Series.monomial(1, order)
-        if tok is not None and tok.isdigit():
-            take()
-            return Series.one(order).scale(int(tok))
-        raise SeriesError(f"unexpected token {tok!r} in rational expression")
-
-    result = parse_expr()
-    if pos != len(tokens):
-        raise SeriesError(f"trailing tokens in rational expression: {tokens[pos:]}")
-    return result
+_NAMED_TARGETS = {
+    "omega": MockThetaForm("omega"),
+    "psi": MockThetaForm("psi"),
+    "nu": MockThetaForm("nu"),
+    "nu-neg": MockThetaForm("nu", argument_sign=-1),
+    "theta": Theta(),
+    "theta-alt": Theta(alternating=True),
+}
 
 
-def _coeff_target_series(target: str, order: int) -> Series:
-    simple = {
-        "omega": lambda: mocktheta.omega(order),
-        "psi": lambda: mocktheta.psi(order),
-        "nu": lambda: mocktheta.nu(order),
-        "nu-neg": lambda: mocktheta.nu(order, sign=-1),
-        "theta": lambda: mocktheta.theta_squares(order),
-        "theta-alt": lambda: mocktheta.theta_squares(order, alternating=True),
-    }
-    if target in simple:
-        return simple[target]()
+def _coeff_target(target: str) -> recipes.Recipe:
+    """The recipe a --target value names."""
+    if target in _NAMED_TARGETS:
+        return _NAMED_TARGETS[target]
     if target.startswith("family:"):
         parts = target.split(":")
-        if len(parts) == 2 or (len(parts) == 3 and parts[2] == "signed"):
-            name = parts[1]
-            if name not in FAMILY_NAMES:
-                raise KeyError(f"unknown family {name!r}")
-            return family_gf_series(name, signed=len(parts) == 3, order=order)
+        if len(parts) == 2 or parts[2:] == ["signed"]:
+            return FamilyGF(parts[1], signed=len(parts) == 3)
         raise KeyError(f"malformed family target {target!r}")
     if target.startswith("rational:"):
-        return _parse_rational(target[len("rational:"):], order)
+        return recipes.parse(target[len("rational:"):])
     raise KeyError(f"unknown coefficient target {target!r}")
 
 
@@ -244,11 +135,15 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         return 2
     order = _capped(args.order)
     try:
-        series = _coeff_target_series(args.target, order)
-    except (KeyError, SeriesError) as exc:
+        series = recipes.evaluate(_coeff_target(args.target), order)
+    except (KeyError, recipes.ParseError, SeriesError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    coeffs = series.coeffs
+    try:
+        coeffs = [str(c) for c in series.coeffs]
+    except ValueError:  # beyond the interpreter's int-to-text digit limit
+        print("error: a coefficient has too many digits to print", file=sys.stderr)
+        return 2
     if args.csv:
         print("n,coefficient")
         for n, c in enumerate(coeffs):
@@ -259,13 +154,13 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
                 {
                     "target": args.target,
                     "order": order,
-                    "coefficients": [str(c) for c in coeffs],
+                    "coefficients": coeffs,
                 },
                 indent=2,
             )
         )
     else:
-        print(",".join(str(c) for c in coeffs))
+        print(",".join(coeffs))
     return 0
 
 

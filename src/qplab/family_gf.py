@@ -9,14 +9,7 @@ flips the sign of the corresponding Pochhammer arguments.
 from __future__ import annotations
 
 from .series import Series
-from .qengine import (
-    LENGTH_INF,
-    Parameter,
-    PochFactor,
-    TermTemplate,
-    poch_infinite,
-    sum_over_smallest,
-)
+from .qengine import LENGTH_INF, Parameter, Poch, PochFactor, TermTemplate, sum_over_smallest
 
 FAMILY_NAMES = ("E", "F", "Tomega", "Tpsi", "Tnu", "A", "B", "C")
 
@@ -52,15 +45,6 @@ def family_template(name: str, signed: bool) -> TermTemplate | None:
     return templates.get(name)
 
 
-def _product(order: int, numerators, denominators=()) -> Series:
-    out = Series.one(order)
-    for sign, exponent, step in numerators:
-        out = out * poch_infinite(Parameter.monomial(exponent, sign), step, order)
-    for sign, exponent, step in denominators:
-        out = out * poch_infinite(Parameter.monomial(exponent, sign), step, order).invert()
-    return out
-
-
 def family_gf_series(name: str, signed: bool, order: int) -> Series:
     """Evaluate the family's generating function to the given order."""
     if name not in FAMILY_NAMES:
@@ -68,10 +52,11 @@ def family_gf_series(name: str, signed: bool, order: int) -> Series:
     template = family_template(name, signed)
     if template is not None:
         return sum_over_smallest(template, order)
+    s = 1 if signed else -1
     if name == "E":
         # distinct per color, evens blue: (s q^2;q^2)_inf (-q;q^2)_inf^2
-        return _product(order, [(1 if signed else -1, 2, 2), (-1, 1, 2), (-1, 1, 2)])
-    # F: evens blue with repetition: 1 / ((q;q^2)_inf^2 (s q^2;q^2)_inf)
-    return _product(
-        order, [], [(1, 1, 2), (1, 1, 2), (-1 if signed else 1, 2, 2)]
-    )
+        odd = Poch(Parameter.monomial(1, -1), 2).series(order)
+        return Poch(Parameter.monomial(2, s), 2).series(order) * odd * odd
+    # F: evens blue with repetition: 1 / ((q;q^2)_inf^2 (-s q^2;q^2)_inf)
+    odd = Poch(Parameter.monomial(1), 2).series(order)
+    return (odd * odd * Poch(Parameter.monomial(2, -s), 2).series(order)).invert()

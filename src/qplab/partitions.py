@@ -5,7 +5,7 @@ A family is described by a smallest-part anchor plus one rule per
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
   value first and then filling the four cells in turn;
-* ``count_family`` / ``brute_force_series`` count through cached products of
+* ``count_family`` / ``family_series`` count through cached products of
   per-value factors, which scales far beyond listing range;
 * the generating-function templates in :mod:`qplab.family_gf` re-derive the
   same series through the q-engine.
@@ -325,17 +325,6 @@ def family_series(
     return _family_series(spec, order, mode)
 
 
-def brute_force_series(
-    spec: FamilySpec,
-    order: int,
-    use_weight: bool = False,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> Series:
-    """Series whose q^n coefficient is count_family(spec, n, use_weight)."""
-    mode = spec.weight if use_weight else WEIGHT_NONE
-    return family_series(spec, order, mode, budget)
-
-
 def count_family(
     spec: FamilySpec,
     n: int,
@@ -347,7 +336,8 @@ def count_family(
         raise PartitionError("n must be nonnegative")
     if n > budget:
         raise PartitionError(f"n {n} exceeds the enumeration budget {budget}")
-    return brute_force_series(spec, n, use_weight, budget).coeff(n)
+    mode = spec.weight if use_weight else WEIGHT_NONE
+    return family_series(spec, n, mode, budget).coeff(n)
 
 
 def statistic_counts(

@@ -8,7 +8,7 @@ plain integer power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .series import Series, div_one_minus, mul_one_minus
 
@@ -109,6 +109,20 @@ def poch_infinite(a: Parameter, step: int, order: int) -> Series:
     return out
 
 
+@dataclass(frozen=True)
+class Poch:
+    """The Pochhammer product (a; q^step)_length; length None means infinite."""
+
+    a: Parameter
+    step: int
+    length: Optional[int] = None
+
+    def series(self, order: int) -> Series:
+        if self.length is None:
+            return poch_infinite(self.a, self.step, order)
+        return poch_finite(self.a, self.step, self.length, order)
+
+
 def rational_series(
     numerator: Sequence[int],
     denominator_factors: Sequence[tuple[int, int, int]],
@@ -175,15 +189,10 @@ class PochFactor:
         e = self.exp_slope * n + self.exp_offset
         if e < 0:
             raise QEngineError("factor exponent became negative")
-        a = Parameter.monomial(e, self.sign)
-        if self.length == LENGTH_INF:
-            s = poch_infinite(a, self.step, order)
-        elif self.length == LENGTH_N:
-            s = poch_finite(a, self.step, n, order)
-        elif self.length == LENGTH_N_PLUS_1:
-            s = poch_finite(a, self.step, n + 1, order)
-        else:
-            s = poch_finite(a, self.step, self.length, order)
+        length = {LENGTH_INF: None, LENGTH_N: n, LENGTH_N_PLUS_1: n + 1}.get(
+            self.length, self.length
+        )
+        s = Poch(Parameter.monomial(e, self.sign), self.step, length).series(order)
         return s.invert() if self.denominator else s
 
 

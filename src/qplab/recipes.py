@@ -1,24 +1,30 @@
-"""Recipe trees: declarative descriptions of how to compute one side of an
-identity.
+"""Recipe trees: declarative descriptions of how to compute a series.
 
 Keeping the two sides of every catalog entry as data rather than code means
 the CLI can print exactly what was evaluated, and the registry can tell
 enumeration-backed recipes (which must respect the enumeration budget) from
-pure series recipes.
+pure series recipes.  The same trees are what ``parse`` builds from the
+arithmetic of a ``coeffs --target rational:...`` expression.
+
+Besides the node classes below, three lower-layer types serve as nodes
+directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
+and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
+saying how to evaluate it, how to render it and which children it has.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Union
+from math import prod
+from typing import Any, Callable, Union
 
 from .series import Series
 from .qengine import (
     Parameter,
+    Poch,
     TermTemplate,
     phi21,
-    poch_finite,
-    poch_infinite,
     rational_series,
     sum_over_smallest,
 )
@@ -60,23 +66,16 @@ class Inv:
 
 
 @dataclass(frozen=True)
+class Pow:
+    """node^k; a negative k inverts the node first."""
+
+    node: "Recipe"
+    k: int
+
+
+@dataclass(frozen=True)
 class NegVar:
     node: "Recipe"
-
-
-@dataclass(frozen=True)
-class PochInf:
-    sign: int
-    exponent: int
-    step: int
-
-
-@dataclass(frozen=True)
-class PochFin:
-    sign: int
-    exponent: int
-    step: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -86,24 +85,12 @@ class RationalGF:
 
 
 @dataclass(frozen=True)
-class SmallestPartSum:
-    template: TermTemplate
-
-
-@dataclass(frozen=True)
 class Phi21:
     a: Parameter
     b: Parameter
     c: Parameter
     step: int
     z: Parameter
-
-
-@dataclass(frozen=True)
-class Mock:
-    function: str
-    form: str = "defining"
-    sign: int = 1
 
 
 @dataclass(frozen=True)
@@ -167,13 +154,13 @@ Recipe = Union[
     Scale,
     Mul,
     Inv,
+    Pow,
     NegVar,
-    PochInf,
-    PochFin,
+    Poch,
     RationalGF,
-    SmallestPartSum,
+    TermTemplate,
     Phi21,
-    Mock,
+    MockThetaForm,
     Theta,
     FamilyCounts,
     FamilyGF,
@@ -191,95 +178,65 @@ _FORMULAS = {
 
 def evaluate(node: Recipe, order: int) -> Series:
     """Evaluate a recipe tree to a series of the given order."""
-    if isinstance(node, Const):
-        return Series.one(order).scale(node.value)
-    if isinstance(node, Monomial):
-        return Series.monomial(node.exponent, order, node.coefficient)
-    if isinstance(node, Add):
-        out = Series.zero(order)
-        for term in node.terms:
-            out = out + evaluate(term, order)
-        return out
-    if isinstance(node, Scale):
-        return evaluate(node.node, order).scale(node.factor)
-    if isinstance(node, Mul):
-        out = Series.one(order)
-        for factor in node.factors:
-            out = out * evaluate(factor, order)
-        return out
-    if isinstance(node, Inv):
-        return evaluate(node.node, order).invert()
-    if isinstance(node, NegVar):
-        return evaluate(node.node, order).negate_variable()
-    if isinstance(node, PochInf):
-        return poch_infinite(Parameter.monomial(node.exponent, node.sign), node.step, order)
-    if isinstance(node, PochFin):
-        return poch_finite(
-            Parameter.monomial(node.exponent, node.sign), node.step, node.length, order
-        )
-    if isinstance(node, RationalGF):
-        return rational_series(node.numerator, node.denominator, order)
-    if isinstance(node, SmallestPartSum):
-        return sum_over_smallest(node.template, order)
-    if isinstance(node, Phi21):
-        return phi21(node.a, node.b, node.c, node.step, node.z, order)
-    if isinstance(node, Mock):
-        return mock_theta(MockThetaForm(node.function, node.form, node.sign), order)
-    if isinstance(node, Theta):
-        return theta_squares(order, node.alternating)
-    if isinstance(node, FamilyCounts):
-        spec = partitions.FAMILIES[node.family]
-        return partitions.family_series(spec, order, node.mode, budget=max(order, 1))
-    if isinstance(node, FamilyGF):
-        return family_gf_series(node.family, node.signed, order)
-    if isinstance(node, Overpartitions):
-        return Series(
-            [partitions.count_overpartitions(n, node.odd_only) for n in range(order + 1)]
-        )
-    if isinstance(node, AdyCounts):
-        return Series(
-            [
-                partitions.count_ady(n, node.distinct, node.allow_zero)
-                for n in range(order + 1)
-            ]
-        )
-    if isinstance(node, CoefficientFormula):
-        f = _FORMULAS[node.name]
-        return Series(
-            [
-                (-1) ** n * f(n) if node.alternating else f(n)
-                for n in range(order + 1)
-            ]
-        )
-    if isinstance(node, CubicProgression):
-        out = [0] * (order + 1)
-        n = 0
-        while 3 * n + node.offset <= order:
-            sign = -1 if node.alternating and n % 2 else 1
-            for shift, (slope, intercept) in enumerate((node.a, node.b, node.c)):
-                e = 3 * n + node.offset + shift
-                if e <= order:
-                    out[e] += sign * (n + 1) * (slope * n + intercept)
-            n += 1
-        return Series(out)
-    raise TypeError(f"unknown recipe node {node!r}")
+    return _rule(node).evaluate(node, order)
+
+
+def render(node: Recipe) -> str:
+    """Human-readable formula for a recipe tree."""
+    return _rule(node).render(node)
 
 
 def uses_enumeration(node: Recipe) -> bool:
     """True when any leaf counts actual partition objects."""
-    if isinstance(node, (FamilyCounts, Overpartitions, AdyCounts)):
-        return True
-    if isinstance(node, Add):
-        return any(uses_enumeration(t) for t in node.terms)
-    if isinstance(node, Mul):
-        return any(uses_enumeration(f) for f in node.factors)
-    if isinstance(node, (Scale, Inv, NegVar)):
-        return uses_enumeration(node.node)
-    return False
+    rule = _rule(node)
+    return rule.counts or any(uses_enumeration(c) for c in rule.children(node))
 
 
-# ----------------------------------------------------------------------
-# rendering
+@dataclass(frozen=True)
+class _Rule:
+    evaluate: Callable[[Any, int], Series]
+    render: Callable[[Any], str]
+    children: Callable[[Any], tuple] = lambda node: ()
+    counts: bool = False  # the node itself counts partition objects
+
+
+def _rule(node: Recipe) -> _Rule:
+    try:
+        return _RULES[type(node)]
+    except KeyError:
+        raise TypeError(f"unknown recipe node {node!r}") from None
+
+
+def _eval_pow(node: Pow, order: int) -> Series:
+    """Binary powering; a base without constant term vanishes past the order."""
+    base = evaluate(node.node, order)
+    k = node.k
+    if k < 0:
+        base, k = base.invert(), -k
+    if k > order and base.coeffs[0] == 0:
+        return Series.zero(order)
+    out = Series.one(order)
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
+def _eval_cubic_progression(node: CubicProgression, order: int) -> Series:
+    out = [0] * (order + 1)
+    n = 0
+    while 3 * n + node.offset <= order:
+        sign = -1 if node.alternating and n % 2 else 1
+        for shift, (slope, intercept) in enumerate((node.a, node.b, node.c)):
+            e = 3 * n + node.offset + shift
+            if e <= order:
+                out[e] += sign * (n + 1) * (slope * n + intercept)
+        n += 1
+    return Series(out)
+
 
 def _mono_str(sign: int, exponent: int) -> str:
     s = "-" if sign < 0 else ""
@@ -314,72 +271,244 @@ def _affine_str(slope: int, intercept: int, var: str = "n") -> str:
     return f"{head}{'+' if intercept > 0 else '-'}{abs(intercept)}"
 
 
-def render(node: Recipe) -> str:
-    """Human-readable formula for a recipe tree."""
-    if isinstance(node, Const):
-        return str(node.value)
-    if isinstance(node, Monomial):
-        c = "" if node.coefficient == 1 else f"{node.coefficient}*"
-        return f"{c}{_mono_str(1, node.exponent)}"
-    if isinstance(node, Add):
-        return " + ".join(render(t) for t in node.terms)
-    if isinstance(node, Scale):
-        return f"{node.factor}*({render(node.node)})"
-    if isinstance(node, Mul):
-        return " * ".join(f"({render(f)})" for f in node.factors)
-    if isinstance(node, Inv):
-        return f"1/({render(node.node)})"
-    if isinstance(node, NegVar):
-        return f"[q -> -q]({render(node.node)})"
-    if isinstance(node, PochInf):
-        return f"({_mono_str(node.sign, node.exponent)}; q^{node.step})_inf"
-    if isinstance(node, PochFin):
-        return f"({_mono_str(node.sign, node.exponent)}; q^{node.step})_{node.length}"
-    if isinstance(node, RationalGF):
-        den = " ".join(
-            f"(1{'+' if s < 0 else '-'}q^{e})^{m}" if m > 1 else f"(1{'+' if s < 0 else '-'}q^{e})"
-            for s, e, m in node.denominator
-        )
-        return f"[{_poly_str(node.numerator)}] / {den}"
-    if isinstance(node, SmallestPartSum):
-        t = node.template
-        parts = []
-        for f in t.factors:
-            e = _affine_str(f.exp_slope, f.exp_offset)
-            body = f"({'-' if f.sign < 0 else ''}q^({e}); q^{f.step})_{f.length}"
-            parts.append(f"1/{body}" if f.denominator else body)
-        sgn = "(-1)^n " if t.alternating else ""
-        return (
-            f"sum_n {sgn}q^({_affine_str(t.prefix_slope, t.prefix_offset)}) "
-            + " ".join(parts)
-        )
-    if isinstance(node, Phi21):
-        return (
-            f"2phi1({_param_str(node.a)}, {_param_str(node.b)}; {_param_str(node.c)}; "
-            f"q^{node.step}, {_param_str(node.z)})"
-        )
-    if isinstance(node, Mock):
-        arg = "-q" if node.sign < 0 else "q"
-        return f"{node.function}[{node.form}]({arg})"
-    if isinstance(node, Theta):
-        return "1 + 2 sum (-1)^n q^(n^2)" if node.alternating else "1 + 2 sum q^(n^2)"
-    if isinstance(node, FamilyCounts):
-        return f"counts[{node.family}, weight={node.mode}]"
-    if isinstance(node, FamilyGF):
-        return f"gf[{node.family}{', signed' if node.signed else ''}]"
-    if isinstance(node, Overpartitions):
-        return "overpartition counts" + (" (odd parts)" if node.odd_only else "")
-    if isinstance(node, AdyCounts):
-        kind = "distinct" if node.distinct else "repeated"
-        zero = " + optional zero part" if node.allow_zero else ""
-        return f"counts[odd parts < 2*smallest, {kind}{zero}]"
-    if isinstance(node, CoefficientFormula):
-        sgn = "(-1)^n " if node.alternating else ""
-        return f"sum_n {sgn}{node.name} q^n"
-    if isinstance(node, CubicProgression):
-        sgn = "(-1)^n " if node.alternating else ""
-        return (
-            f"sum_n {sgn}(n+1)[({_affine_str(*node.a)}) + ({_affine_str(*node.b)})q "
-            f"+ ({_affine_str(*node.c)})q^2] q^(3n+{node.offset})"
-        )
-    raise TypeError(f"unknown recipe node {node!r}")
+def _sign(alternating: bool) -> str:
+    return "(-1)^n " if alternating else ""
+
+
+def _render_rational(node: RationalGF) -> str:
+    den = " ".join(
+        f"(1{'+' if s < 0 else '-'}q^{e})^{m}" if m > 1 else f"(1{'+' if s < 0 else '-'}q^{e})"
+        for s, e, m in node.denominator
+    )
+    return f"[{_poly_str(node.numerator)}] / {den}"
+
+
+def _render_template(t: TermTemplate) -> str:
+    parts = []
+    for f in t.factors:
+        e = _affine_str(f.exp_slope, f.exp_offset)
+        body = f"({'-' if f.sign < 0 else ''}q^({e}); q^{f.step})_{f.length}"
+        parts.append(f"1/{body}" if f.denominator else body)
+    return (
+        f"sum_n {_sign(t.alternating)}q^({_affine_str(t.prefix_slope, t.prefix_offset)}) "
+        + " ".join(parts)
+    )
+
+
+def _render_cubic_progression(node: CubicProgression) -> str:
+    return (
+        f"sum_n {_sign(node.alternating)}(n+1)[({_affine_str(*node.a)}) "
+        f"+ ({_affine_str(*node.b)})q + ({_affine_str(*node.c)})q^2] q^(3n+{node.offset})"
+    )
+
+
+def _child(node) -> tuple:
+    return (node.node,)
+
+
+# One entry per node type.  Entries reach evaluate, sum_over_smallest and the
+# other functions through module globals at call time, so a wrapper installed
+# on one of those globals sees every call, the recursion included.
+_RULES: dict[type, _Rule] = {
+    Const: _Rule(lambda n, order: Series.one(order).scale(n.value), lambda n: str(n.value)),
+    Monomial: _Rule(
+        lambda n, order: Series.monomial(n.exponent, order, n.coefficient),
+        lambda n: ("" if n.coefficient == 1 else f"{n.coefficient}*") + _mono_str(1, n.exponent),
+    ),
+    Add: _Rule(
+        lambda n, order: sum((evaluate(t, order) for t in n.terms), Series.zero(order)),
+        lambda n: " + ".join(render(t) for t in n.terms),
+        lambda n: n.terms,
+    ),
+    Scale: _Rule(
+        lambda n, order: evaluate(n.node, order).scale(n.factor),
+        lambda n: f"{n.factor}*({render(n.node)})",
+        _child,
+    ),
+    Mul: _Rule(
+        lambda n, order: prod((evaluate(f, order) for f in n.factors), start=Series.one(order)),
+        lambda n: " * ".join(f"({render(f)})" for f in n.factors),
+        lambda n: n.factors,
+    ),
+    Inv: _Rule(
+        lambda n, order: evaluate(n.node, order).invert(),
+        lambda n: f"1/({render(n.node)})",
+        _child,
+    ),
+    Pow: _Rule(_eval_pow, lambda n: f"({render(n.node)})^{n.k}", _child),
+    NegVar: _Rule(
+        lambda n, order: evaluate(n.node, order).negate_variable(),
+        lambda n: f"[q -> -q]({render(n.node)})",
+        _child,
+    ),
+    Poch: _Rule(
+        lambda n, order: n.series(order),
+        lambda n: f"({_param_str(n.a)}; q^{n.step})_{'inf' if n.length is None else n.length}",
+    ),
+    RationalGF: _Rule(
+        lambda n, order: rational_series(n.numerator, n.denominator, order), _render_rational
+    ),
+    TermTemplate: _Rule(lambda n, order: sum_over_smallest(n, order), _render_template),
+    Phi21: _Rule(
+        lambda n, order: phi21(n.a, n.b, n.c, n.step, n.z, order),
+        lambda n: f"2phi1({_param_str(n.a)}, {_param_str(n.b)}; {_param_str(n.c)}; "
+        f"q^{n.step}, {_param_str(n.z)})",
+    ),
+    MockThetaForm: _Rule(
+        lambda n, order: mock_theta(n, order),
+        lambda n: f"{n.function}[{n.form}]({'-q' if n.argument_sign < 0 else 'q'})",
+    ),
+    Theta: _Rule(
+        lambda n, order: theta_squares(order, n.alternating),
+        lambda n: f"1 + 2 sum {_sign(n.alternating)}q^(n^2)",
+    ),
+    FamilyCounts: _Rule(
+        lambda n, order: partitions.family_series(
+            partitions.FAMILIES[n.family], order, n.mode, budget=max(order, 1)
+        ),
+        lambda n: f"counts[{n.family}, weight={n.mode}]",
+        counts=True,
+    ),
+    FamilyGF: _Rule(
+        lambda n, order: family_gf_series(n.family, n.signed, order),
+        lambda n: f"gf[{n.family}{', signed' if n.signed else ''}]",
+    ),
+    Overpartitions: _Rule(
+        lambda n, order: Series(
+            [partitions.count_overpartitions(m, n.odd_only) for m in range(order + 1)]
+        ),
+        lambda n: "overpartition counts" + (" (odd parts)" if n.odd_only else ""),
+        counts=True,
+    ),
+    AdyCounts: _Rule(
+        lambda n, order: Series(
+            [partitions.count_ady(m, n.distinct, n.allow_zero) for m in range(order + 1)]
+        ),
+        lambda n: f"counts[odd parts < 2*smallest, {'distinct' if n.distinct else 'repeated'}"
+        f"{' + optional zero part' if n.allow_zero else ''}]",
+        counts=True,
+    ),
+    CoefficientFormula: _Rule(
+        lambda n, order: Series(
+            [(-1) ** m * _FORMULAS[n.name](m) if n.alternating else _FORMULAS[n.name](m)
+             for m in range(order + 1)]
+        ),
+        lambda n: f"sum_n {_sign(n.alternating)}{n.name} q^n",
+    ),
+    CubicProgression: _Rule(_eval_cubic_progression, _render_cubic_progression),
+}
+
+
+# ----------------------------------------------------------------------
+# parsing integer polynomial arithmetic in q
+
+#: deepest parenthesis nesting `parse` accepts.  A level nests at most five
+#: tree nodes and evaluating or rendering recurses once per node, so parsing,
+#: evaluating and rendering all stay far from the interpreter's recursion limit.
+MAX_DEPTH = 24
+
+
+class ParseError(ValueError):
+    """Raised for text that is not a well-formed expression."""
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = re.findall(r"[0-9]+|\S", text)
+    for tok in tokens:
+        if tok not in "+-*/^()q" and tok[0] not in "0123456789":
+            raise ParseError(f"unexpected character {tok!r} in rational expression")
+    return tokens
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(f"integer literal of {len(token)} digits is too long") from None
+
+
+def parse(text: str) -> Recipe:
+    """Parse integer polynomial arithmetic in q into a recipe tree.
+
+    Grammar: + - * / ^ with parentheses, the variable q and integer
+    literals.  ``x^k`` takes an integer k, ``x^-k`` inverts x first; ``a/b``
+    multiplies by the inverse of b, so b's constant term must be a unit
+    when the tree is evaluated.  Parentheses nest at most MAX_DEPTH deep.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    depth = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def expr() -> Recipe:
+        terms = [term()]
+        while peek() in ("+", "-"):
+            op = take()
+            rhs = term()
+            terms.append(rhs if op == "+" else Scale(-1, rhs))
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+
+    def term() -> Recipe:
+        factors = [unary()]
+        while peek() in ("*", "/"):
+            op = take()
+            rhs = unary()
+            factors.append(rhs if op == "*" else Inv(rhs))
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+    def unary() -> Recipe:
+        # signs fold in a loop; a run of them never nests the tree
+        negative = False
+        while peek() in ("+", "-"):
+            negative ^= take() == "-"
+        node = power()
+        return Scale(-1, node) if negative else node
+
+    def power() -> Recipe:
+        base = atom()
+        if peek() != "^":
+            return base
+        take()
+        negative = peek() == "-"
+        if negative:
+            take()
+        tok = peek()
+        if tok is None or not tok.isdigit():
+            raise ParseError("exponent must be an integer")
+        k = _integer(take())
+        return Pow(base, -k if negative else k)
+
+    def atom() -> Recipe:
+        nonlocal depth
+        tok = peek()
+        if tok == "(":
+            take()
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels")
+            node = expr()
+            if peek() != ")":
+                raise ParseError("unbalanced parentheses in rational expression")
+            take()
+            depth -= 1
+            return node
+        if tok == "q":
+            take()
+            return Monomial(1)
+        if tok is not None and tok.isdigit():
+            return Const(_integer(take()))
+        if tok is None:
+            raise ParseError("rational expression ends where an operand is expected")
+        raise ParseError(f"unexpected token {tok!r} in rational expression")
+
+    node = expr()
+    if pos != len(tokens):
+        raise ParseError(f"unexpected token {tokens[pos]!r} after the expression")
+    return node

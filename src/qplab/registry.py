@@ -14,7 +14,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .series import equal_up_to
-from .qengine import LENGTH_INF, LENGTH_N, LENGTH_N_PLUS_1, Parameter, PochFactor, TermTemplate
+from .qengine import (
+    LENGTH_INF,
+    LENGTH_N,
+    LENGTH_N_PLUS_1,
+    Parameter,
+    Poch,
+    PochFactor,
+    TermTemplate,
+)
+from .mocktheta import MockThetaForm
 from . import partitions
 from .recipes import (
     Add,
@@ -25,18 +34,14 @@ from .recipes import (
     FamilyCounts,
     FamilyGF,
     Inv,
-    Mock,
     Monomial,
     Mul,
     NegVar,
     Overpartitions,
     Phi21,
-    PochFin,
-    PochInf,
     RationalGF,
     Recipe,
     Scale,
-    SmallestPartSum,
     Theta,
     evaluate,
     render,
@@ -51,7 +56,6 @@ NEGATIVE_CONTROL_ID = "deliberate-mismatch-selftest"
 
 STATUS_PASS = "pass"
 STATUS_MISMATCH = "mismatch"
-STATUS_SKIPPED = "skipped"
 
 
 class RegistryError(KeyError):
@@ -90,7 +94,6 @@ class IdentityReport:
     order_checked: int
     status: str
     mismatch: Optional[Mismatch] = None
-    skipped_reason: str = ""
     notes: str = ""
     elapsed_ms: int = 0
 
@@ -123,12 +126,8 @@ def _q(e: int, sign: int = 1) -> Parameter:
 _Z = Parameter.zero()
 
 
-def _pf(sign, slope, offset, step, length, den=False) -> PochFactor:
-    return PochFactor(sign, slope, offset, step, length, den)
-
-
-def _smallest(prefix_slope, prefix_offset, *factors) -> SmallestPartSum:
-    return SmallestPartSum(TermTemplate(prefix_slope, prefix_offset, tuple(factors)))
+def _smallest(prefix_slope, prefix_offset, *factors) -> TermTemplate:
+    return TermTemplate(prefix_slope, prefix_offset, tuple(factors))
 
 
 # left sides of the three two-parameter identities at their specializations,
@@ -136,43 +135,43 @@ def _smallest(prefix_slope, prefix_offset, *factors) -> SmallestPartSum:
 # = 2(-q^2;q^2)_n, which is not a unit over the integers
 _CHAN_MAO_LHS = _smallest(
     2, 0,
-    _pf(1, 0, 1, 2, LENGTH_N), _pf(1, 0, 1, 2, LENGTH_N),
-    _pf(-1, 0, 2, 2, LENGTH_N, True), _pf(-1, 0, 2, 2, LENGTH_N_PLUS_1, True),
+    PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 1, 2, LENGTH_N),
+    PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 2, 2, LENGTH_N_PLUS_1, True),
 )
 _COMPANION_LHS = _smallest(
     2, 2,
-    _pf(1, 0, 1, 2, LENGTH_N), _pf(1, 0, 3, 2, LENGTH_N),
-    _pf(-1, 0, 2, 2, LENGTH_N, True), _pf(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
+    PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 3, 2, LENGTH_N),
+    PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
 )
 _CQ_FORMULA_LHS = _smallest(
     4, 2,
-    _pf(1, 0, 1, 2, LENGTH_N), _pf(1, 0, 1, 2, LENGTH_N),
-    _pf(-1, 0, 2, 2, LENGTH_N, True), _pf(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
+    PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 1, 2, LENGTH_N),
+    PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
 )
 
 # smallest-part sums that produce q*omega(q) and nu(-q)
 _ADY_OMEGA_TEMPLATE = _smallest(
     1, 1,
-    _pf(1, 1, 1, 1, 1, True),                 # 1/(1 - q^(n+1)) as a length-1 product
-    _pf(1, 1, 2, 1, LENGTH_N_PLUS_1, True),   # 1/(q^(n+2); q)_{n+1}
-    _pf(1, 2, 4, 2, LENGTH_INF, True),        # 1/(q^(2n+4); q^2)_inf
+    PochFactor(1, 1, 1, 1, 1, True),                # 1/(1 - q^(n+1)) as a length-1 product
+    PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1, True),  # 1/(q^(n+2); q)_{n+1}
+    PochFactor(1, 2, 4, 2, LENGTH_INF, True),       # 1/(q^(2n+4); q^2)_inf
 )
 _ADY_NU_TEMPLATE = _smallest(
     1, 0,
-    _pf(-1, 1, 1, 1, LENGTH_N),               # (-q^(n+1); q)_n
-    _pf(-1, 2, 2, 2, LENGTH_INF),              # (-q^(2n+2); q^2)_inf
+    PochFactor(-1, 1, 1, 1, LENGTH_N),              # (-q^(n+1); q)_n
+    PochFactor(-1, 2, 2, 2, LENGTH_INF),            # (-q^(2n+2); q^2)_inf
 )
 
 # corollary left sides: the A-shaped sum with the even minimum pushed to 2n+6
 _COR_PLUS_LHS = _smallest(
     2, 1,
-    _pf(1, 2, 6, 2, LENGTH_INF), _pf(1, 2, 2, 2, LENGTH_INF),
-    _pf(1, 2, 1, 2, LENGTH_INF, True), _pf(1, 2, 1, 2, LENGTH_INF, True),
+    PochFactor(1, 2, 6, 2, LENGTH_INF), PochFactor(1, 2, 2, 2, LENGTH_INF),
+    PochFactor(1, 2, 1, 2, LENGTH_INF, True), PochFactor(1, 2, 1, 2, LENGTH_INF, True),
 )
 _COR_MINUS_LHS = _smallest(
     2, 1,
-    _pf(-1, 2, 6, 2, LENGTH_INF), _pf(-1, 2, 2, 2, LENGTH_INF),
-    _pf(1, 2, 1, 2, LENGTH_INF, True), _pf(1, 2, 1, 2, LENGTH_INF, True),
+    PochFactor(-1, 2, 6, 2, LENGTH_INF), PochFactor(-1, 2, 2, 2, LENGTH_INF),
+    PochFactor(1, 2, 1, 2, LENGTH_INF, True), PochFactor(1, 2, 1, 2, LENGTH_INF, True),
 )
 
 
@@ -187,21 +186,21 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "basic-split-finite",
         "(-q;q)_inf splits as (-q;q)_3 times (-q^4;q)_inf",
         "basic q-product splitting",
-        PochInf(-1, 1, 1),
-        Mul((PochFin(-1, 1, 1, 3), PochInf(-1, 4, 1))),
+        Poch(_q(1, -1), 1),
+        Mul((Poch(_q(1, -1), 1, 3), Poch(_q(4, -1), 1))),
     )
     case(
         "basic-even-odd-split",
         "(-q;q)_inf splits into odd-step and even-step products",
         "basic q-product splitting",
-        PochInf(-1, 1, 1),
-        Mul((PochInf(-1, 1, 2), PochInf(-1, 2, 2))),
+        Poch(_q(1, -1), 1),
+        Mul((Poch(_q(1, -1), 2), Poch(_q(2, -1), 2))),
     )
     case(
         "euler-reciprocal",
         "(-q;q)_inf (q;q^2)_inf = 1",
         "euler",
-        Mul((PochInf(-1, 1, 1), PochInf(1, 1, 2))),
+        Mul((Poch(_q(1, -1), 1), Poch(_q(1), 2))),
         Const(1),
     )
 
@@ -211,21 +210,21 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "2phi1(q,q;q^4; q^2,q^2) equals its closed product form",
         "q-gauss, thm 3.2(b) step",
         Phi21(_q(1), _q(1), _q(4), 2, _q(2)),
-        Mul((PochInf(1, 3, 2), PochInf(1, 3, 2), Inv(PochInf(1, 4, 2)), Inv(PochInf(1, 2, 2)))),
+        Mul((Poch(_q(3), 2), Poch(_q(3), 2), Inv(Poch(_q(4), 2)), Inv(Poch(_q(2), 2)))),
     )
     case(
         "q-gauss-3.4b",
         "2phi1(q,q^3;q^6; q^2,q^2) equals its closed product form",
         "q-gauss, thm 3.4(b) step",
         Phi21(_q(1), _q(3), _q(6), 2, _q(2)),
-        Mul((PochInf(1, 5, 2), PochInf(1, 3, 2), Inv(PochInf(1, 6, 2)), Inv(PochInf(1, 2, 2)))),
+        Mul((Poch(_q(5), 2), Poch(_q(3), 2), Inv(Poch(_q(6), 2)), Inv(Poch(_q(2), 2)))),
     )
     case(
         "q-gauss-3.6b",
         "2phi1(q,q;q^6; q^2,q^4) equals its closed product form",
         "q-gauss, thm 3.6(b) step",
         Phi21(_q(1), _q(1), _q(6), 2, _q(4)),
-        Mul((PochInf(1, 5, 2), PochInf(1, 5, 2), Inv(PochInf(1, 6, 2)), Inv(PochInf(1, 4, 2)))),
+        Mul((Poch(_q(5), 2), Poch(_q(5), 2), Inv(Poch(_q(6), 2)), Inv(Poch(_q(4), 2)))),
     )
 
     # ---- Heine's transformation at its three working instances
@@ -235,7 +234,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, omega route",
         Phi21(_q(1), _q(1), _Z, 2, _q(2)),
         Mul((
-            PochInf(1, 1, 2), PochInf(1, 3, 2), Inv(PochInf(1, 2, 2)),
+            Poch(_q(1), 2), Poch(_q(3), 2), Inv(Poch(_q(2), 2)),
             Phi21(_Z, _q(2), _q(3), 2, _q(1)),
         )),
     )
@@ -245,7 +244,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, psi route",
         Phi21(_Z, _q(1), _q(3, -1), 2, _q(2)),
         Mul((
-            PochInf(1, 1, 2), Inv(PochInf(-1, 3, 2)), Inv(PochInf(1, 2, 2)),
+            Poch(_q(1), 2), Inv(Poch(_q(3, -1), 2)), Inv(Poch(_q(2), 2)),
             Phi21(_q(2, -1), _q(2), _Z, 2, _q(1)),
         )),
     )
@@ -255,7 +254,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, nu route",
         Phi21(_Z, _q(1, -1), _q(2, -1), 2, _q(2)),
         Mul((
-            PochInf(-1, 1, 2), Inv(PochInf(-1, 2, 2)), Inv(PochInf(1, 2, 2)),
+            Poch(_q(1, -1), 2), Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(2), 2)),
             Phi21(_q(1), _q(2), _Z, 2, _q(1, -1)),
         )),
     )
@@ -265,14 +264,14 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "fine-theta-7.325",
         "(q^2;q^2)(-q;q^2)^2 = 1 + 2 sum q^(n^2)",
         "fine 7.325",
-        Mul((PochInf(1, 2, 2), PochInf(-1, 1, 2), PochInf(-1, 1, 2))),
+        Mul((Poch(_q(2), 2), Poch(_q(1, -1), 2), Poch(_q(1, -1), 2))),
         Theta(False),
     )
     case(
         "fine-theta-7.324",
         "(q^2;q^2)(q;q^2)^2 = 1 + 2 sum (-1)^n q^(n^2)",
         "fine 7.324",
-        Mul((PochInf(1, 2, 2), PochInf(1, 1, 2), PochInf(1, 1, 2))),
+        Mul((Poch(_q(2), 2), Poch(_q(1), 2), Poch(_q(1), 2))),
         Theta(True),
         notes=(
             "the squared factor is (q;q^2)^2, not (-q;q^2)^2 as one derivation "
@@ -327,28 +326,28 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "family E counts expand the product (-q^2;q^2)(-q;q^2)^2",
         "family E generating function",
         FamilyCounts("E"),
-        Mul((PochInf(-1, 2, 2), PochInf(-1, 1, 2), PochInf(-1, 1, 2))),
+        Mul((Poch(_q(2, -1), 2), Poch(_q(1, -1), 2), Poch(_q(1, -1), 2))),
     )
     case(
         "family-F-product",
         "family F counts expand 1/((q;q^2)^2 (q^2;q^2))",
         "family F generating function",
         FamilyCounts("F"),
-        Inv(Mul((PochInf(1, 1, 2), PochInf(1, 1, 2), PochInf(1, 2, 2)))),
+        Inv(Mul((Poch(_q(1), 2), Poch(_q(1), 2), Poch(_q(2), 2)))),
     )
     case(
         "overpartition-odd-product",
         "odd overpartition counts expand (-q;q^2)/(q;q^2)",
         "odd overpartition generating function",
         Overpartitions(odd_only=True),
-        Mul((PochInf(-1, 1, 2), Inv(PochInf(1, 1, 2)))),
+        Mul((Poch(_q(1, -1), 2), Inv(Poch(_q(1), 2)))),
     )
     case(
         "overpartition-all-product",
         "overpartition counts expand (-q;q)/(q;q)",
         "overpartition generating function",
         Overpartitions(odd_only=False),
-        Mul((PochInf(-1, 1, 1), Inv(PochInf(1, 1, 1)))),
+        Mul((Poch(_q(1, -1), 1), Inv(Poch(_q(1), 1)))),
     )
     case(
         "remark-9.1-F-overpartitions",
@@ -364,14 +363,14 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "the signed Tomega sum equals q*omega(q)",
         "thm 2.2",
         FamilyGF("Tomega", signed=True),
-        Mul((Monomial(1), Mock("omega"))),
+        Mul((Monomial(1), MockThetaForm("omega"))),
     )
     case(
         "thm-2.4-psi",
         "the signed Tpsi sum equals psi(q)",
         "thm 2.4",
         FamilyGF("Tpsi", signed=True),
-        Mock("psi"),
+        MockThetaForm("psi"),
         notes=(
             "psi's defining sum runs from n = 1 so its constant term vanishes; "
             "the n = 0 convention would add a constant 1 that the left side lacks"
@@ -382,7 +381,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "the signed Tnu sum equals q*nu(-q)",
         "thm 2.6",
         FamilyGF("Tnu", signed=True),
-        Mul((Monomial(1), Mock("nu", sign=-1))),
+        Mul((Monomial(1), MockThetaForm("nu", argument_sign=-1))),
         notes=(
             "the theorem is verified against the family definition's template; one "
             "derivation display drops the q^(2n+1) prefix alignment and is not encoded"
@@ -392,23 +391,23 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "fine-12.331-omega",
         "omega's defining sum equals sum q^n/(q;q^2)_{n+1}",
         "fine 12.331",
-        Mock("omega", "defining"),
-        Mock("omega", "fine"),
+        MockThetaForm("omega", "defining"),
+        MockThetaForm("omega", "fine"),
     )
     case(
         "fine-26.53-psi",
         "psi's defining sum equals sum (-q^2;q^2)_n q^(n+1)",
         "fine 26.53",
-        Mock("psi", "defining"),
-        Mock("psi", "fine"),
+        MockThetaForm("psi", "defining"),
+        MockThetaForm("psi", "fine"),
         notes="confirms the n >= 1 summation convention adopted for psi",
     )
     case(
         "fine-26.85-nu",
         "nu's defining sum re-derived through the generic 2phi1 evaluator",
         "fine 26.85",
-        Mock("nu", "defining"),
-        Mock("nu", "fine"),
+        MockThetaForm("nu", "defining"),
+        MockThetaForm("nu", "fine"),
         notes=(
             "the alternative single sum is textually identical to the defining sum, "
             "so this case recomputes it as 2phi1(q,q^2;0; q^2,-q) instead"
@@ -418,36 +417,36 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "ady-omega",
         "the partition-style sum with bounded odd parts equals q*omega(q)",
         "ady omega sum",
-        Mock("omega", "ady"),
-        Mul((Monomial(1), Mock("omega"))),
+        MockThetaForm("omega", "ady"),
+        Mul((Monomial(1), MockThetaForm("omega"))),
     )
     case(
         "ady-omega-template",
         "the same sum evaluated through the generic template engine",
         "ady omega sum",
         _ADY_OMEGA_TEMPLATE,
-        Mul((Monomial(1), Mock("omega"))),
+        Mul((Monomial(1), MockThetaForm("omega"))),
     )
     case(
         "ady-nu",
         "the distinct-parts companion sum equals nu(-q)",
         "ady nu sum",
-        Mock("nu", "ady", sign=-1),
-        Mock("nu", sign=-1),
+        MockThetaForm("nu", "ady", -1),
+        MockThetaForm("nu", argument_sign=-1),
     )
     case(
         "ady-nu-template",
         "the same sum evaluated through the generic template engine",
         "ady nu sum",
         _ADY_NU_TEMPLATE,
-        Mock("nu", sign=-1),
+        MockThetaForm("nu", argument_sign=-1),
     )
     case(
         "nu-negation-consistency",
         "flipping q -> -q after summation matches the direct -q evaluation",
         "sign-handling guard",
-        NegVar(Mock("nu")),
-        Mock("nu", sign=-1),
+        NegVar(MockThetaForm("nu")),
+        MockThetaForm("nu", argument_sign=-1),
     )
     case(
         "cor-2.3-omega-partitions",
@@ -476,8 +475,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "thm 3.2(a)",
         FamilyGF("A"),
         Add((
-            Mul((Monomial(1, 2), PochInf(-1, 2, 1), PochInf(-1, 2, 1),
-                 PochInf(-1, 2, 2), PochInf(-1, 2, 2))),
+            Mul((Monomial(1, 2), Poch(_q(2, -1), 1), Poch(_q(2, -1), 1),
+                 Poch(_q(2, -1), 2), Poch(_q(2, -1), 2))),
             RationalGF((0, -1), ((-1, 1, 2),)),
         )),
     )
@@ -508,8 +507,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "thm 3.4(a)",
         FamilyGF("B"),
         Add((
-            Mul((Monomial(1, 2), PochInf(-1, 2, 1), PochInf(-1, 4, 1),
-                 Inv(PochInf(1, 2, 4)), Inv(PochInf(1, 6, 4)))),
+            Mul((Monomial(1, 2), Poch(_q(2, -1), 1), Poch(_q(4, -1), 1),
+                 Inv(Poch(_q(2), 4)), Inv(Poch(_q(6), 4)))),
             RationalGF((0, -1), ((-1, 1, 1), (-1, 3, 1))),
         )),
     )
@@ -542,8 +541,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Add((
             Mul((
                 RationalGF((0, 0, 0, 4, -2, 2), ((-1, 1, 1), (-1, 3, 2))),
-                PochInf(-1, 2, 2), PochInf(-1, 4, 2),
-                Inv(PochInf(1, 1, 2)), Inv(PochInf(1, 1, 2)),
+                Poch(_q(2, -1), 2), Poch(_q(4, -1), 2),
+                Inv(Poch(_q(1), 2)), Inv(Poch(_q(1), 2)),
             )),
             RationalGF((0, 0, 1, -1), ((-1, 1, 1), (-1, 3, 2))),
         )),
@@ -587,9 +586,9 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Add((
             RationalGF((2,), ((-1, 1, 2),)),
             Scale(-1, Mul((
-                PochInf(1, 1, 2), PochInf(1, 1, 2),
+                Poch(_q(1), 2), Poch(_q(1), 2),
                 RationalGF((1,), ((-1, 1, 2),)),
-                Inv(PochInf(-1, 2, 2)), Inv(PochInf(-1, 2, 2)),
+                Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(2, -1), 2)),
             ))),
         )),
         notes=(
@@ -608,8 +607,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
             Add((
                 Const(2),
                 Scale(-1, Mul((
-                    PochInf(1, 1, 2), PochInf(1, 3, 2),
-                    Inv(PochInf(-1, 2, 2)), Inv(PochInf(-1, 4, 2)),
+                    Poch(_q(1), 2), Poch(_q(3), 2),
+                    Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(4, -1), 2)),
                 ))),
             )),
         )),
@@ -627,8 +626,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Add((
             Mul((
                 RationalGF((0, 0, 1, 0, -1), ((-1, 1, 2), (-1, 3, 2))),
-                PochInf(1, 1, 2), PochInf(1, 1, 2),
-                Inv(PochInf(-1, 2, 2)), Inv(PochInf(-1, 4, 2)),
+                Poch(_q(1), 2), Poch(_q(1), 2),
+                Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(4, -1), 2)),
             )),
             RationalGF((0, 0, -2, 0, 0, 0, 2), ((-1, 1, 2), (-1, 3, 2))),
             RationalGF((0, 0, 2), ((-1, 3, 2),)),
@@ -669,8 +668,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Add((
             Mul((
                 RationalGF((0, 2, 0, 2, 4), ((-1, 2, 1), (-1, 3, 2))),
-                PochInf(-1, 2, 1), PochInf(-1, 2, 1),
-                PochInf(-1, 2, 2), PochInf(-1, 2, 2),
+                Poch(_q(2, -1), 1), Poch(_q(2, -1), 1),
+                Poch(_q(2, -1), 2), Poch(_q(2, -1), 2),
             )),
             RationalGF((0, -1, 1, -1, -1), ((-1, 1, 1), (-1, 3, 2))),
         )),
@@ -717,8 +716,8 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         NEGATIVE_CONTROL_ID,
         "q*omega(q) against psi(q): first mismatch expected at q^2 with 2 vs 1",
         "negative control",
-        Mul((Monomial(1), Mock("omega"))),
-        Mock("psi"),
+        Mul((Monomial(1), MockThetaForm("omega"))),
+        MockThetaForm("psi"),
         notes="expected to mismatch at index 2; a pass here means the harness is broken",
         negative_control=True,
     )
@@ -774,13 +773,12 @@ def _run_case(case: IdentityCase, order: int, clamp_note: str) -> IdentityReport
     cmp = equal_up_to(lhs, rhs, order)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     if cmp.equal:
-        return IdentityReport(case.id, order, STATUS_PASS, None, "", notes, elapsed_ms)
+        return IdentityReport(case.id, order, STATUS_PASS, None, notes, elapsed_ms)
     return IdentityReport(
         case.id,
         order,
         STATUS_MISMATCH,
         Mismatch(cmp.index, cmp.lhs, cmp.rhs),
-        "",
         notes,
         elapsed_ms,
     )

@@ -241,26 +241,6 @@ def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:
     return Series(out)
 
 
-def mul(a: Series, b: Series) -> Series:
-    return a * b
-
-
-def invert(a: Series) -> Series:
-    return a.invert()
-
-
-def substitute_power(a: Series, k: int) -> Series:
-    return a.substitute_power(k)
-
-
-def negate_variable(a: Series) -> Series:
-    return a.negate_variable()
-
-
-def coeff_at(a: Series, n: int) -> int:
-    return a.coeff(n)
-
-
 def equal_up_to(a: Series, b: Series, n: int) -> Comparison:
     """Compare coefficients of q^0..q^n; report the first mismatch if any."""
     if n > a.order or n > b.order:

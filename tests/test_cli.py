@@ -1,4 +1,8 @@
 import json
+import math
+import time
+
+import pytest
 
 from qplab import registry
 from qplab.cli import main
@@ -164,6 +168,52 @@ def test_coeffs_bad_rational(capsys):
     code, _, err = run(capsys, "coeffs", "--target", "rational:q/(2+q)", "--order", "4")
     assert code == 2
     assert "invert" in err
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "q^",
+        "q^-",
+        "(" * 3000 + "q" + ")" * 3000,
+        "9" * 5000,
+        "(1+q)^",
+        "q*",
+        "",
+        "9^99999",
+    ],
+    ids=[
+        "missing-exponent",
+        "missing-negative-exponent",
+        "3000-nested-parentheses",
+        "5000-digit-literal",
+        "missing-exponent-after-group",
+        "missing-operand",
+        "empty",
+        "coefficient-too-long-to-print",
+    ],
+)
+def test_coeffs_bad_rational_exits_two(capsys, expression):
+    code, out, err = run(capsys, "coeffs", "--target", "rational:" + expression, "--order", "3")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_coeffs_huge_power_is_fast(capsys):
+    k = 99999999
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "coeffs", "--target", f"rational:(1+q)^{k}", "--order", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == f"1,{k},{math.comb(k, 2)},{math.comb(k, 3)}"
+
+
+def test_coeffs_power_of_q_past_the_order_is_zero(capsys):
+    code, out, _ = run(capsys, "coeffs", "--target", "rational:2+q^99999999999999", "--order", "3")
+    assert code == 0
+    assert out.strip() == "2,0,0,0"
 
 
 # ----------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_ady_count_matches_filter_oracle():
 
 def test_brute_series_E_product():
     n = 10
-    got = P.brute_force_series(P.FAMILIES["E"], n)
+    got = P.family_series(P.FAMILIES["E"], n)
     expect = (
         poch_infinite(Parameter.monomial(2, -1), 2, n)
         * poch_infinite(Parameter.monomial(1, -1), 2, n)
@@ -149,16 +149,17 @@ def test_brute_series_E_product():
 
 def test_brute_series_Tnu_weighted():
     n = 8
-    got = P.brute_force_series(P.FAMILIES["Tnu"], n, use_weight=True)
+    spec = P.FAMILIES["Tnu"]
+    got = P.family_series(spec, n, spec.weight)
     assert got == nu(n, sign=-1).shifted(1)
 
 
 def test_budget_is_enforced():
     with pytest.raises(P.PartitionError):
-        P.brute_force_series(P.FAMILIES["E"], 31)
+        P.family_series(P.FAMILIES["E"], 31)
     with pytest.raises(P.PartitionError):
         P.count_family(P.FAMILIES["E"], 31)
-    assert P.brute_force_series(P.FAMILIES["E"], 31, budget=31).order == 31
+    assert P.family_series(P.FAMILIES["E"], 31, budget=31).order == 31
 
 
 def test_is_square():

@@ -5,6 +5,7 @@ from qplab.qengine import (
     LENGTH_INF,
     LENGTH_N,
     Parameter,
+    Poch,
     PochFactor,
     QEngineError,
     TermTemplate,
@@ -238,3 +239,12 @@ def test_phi21_zero_upper_parameters():
         )
         expect = oracles.p_add(expect, t)
     assert got == Series(expect)
+
+
+def test_poch_node_length_none_is_infinite():
+    cases = ((Parameter.monomial(1, -1), 2), (Parameter.monomial(2), 1), (Parameter.zero(), 3))
+    for a, step in cases:
+        assert Poch(a, step).series(15) == poch_infinite(a, step, 15)
+        assert Poch(a, step, 4).series(15) == poch_finite(a, step, 4, 15)
+    expect = oracles.p_poch_fin(-1, 1, 2, 3, 10)
+    assert list(Poch(Parameter.monomial(1, -1), 2, 3).series(10).coeffs) == expect
