@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .series import Series, div_one_minus, mul_one_minus
+from .series import Series, SeriesError, div_one_minus, mul_one_minus
 
 
 class QEngineError(ValueError):
@@ -185,15 +185,40 @@ class PochFactor:
         if not ok:
             raise QEngineError(f"unsupported factor length {self.length!r}")
 
+    def _length(self, n: int) -> Optional[int]:
+        """The Pochhammer length at index n; None means infinite."""
+        return {LENGTH_INF: None, LENGTH_N: n, LENGTH_N_PLUS_1: n + 1}.get(
+            self.length, self.length
+        )
+
     def expand(self, n: int, order: int) -> Series:
         e = self.exp_slope * n + self.exp_offset
         if e < 0:
             raise QEngineError("factor exponent became negative")
-        length = {LENGTH_INF: None, LENGTH_N: n, LENGTH_N_PLUS_1: n + 1}.get(
-            self.length, self.length
-        )
-        s = Poch(Parameter.monomial(e, self.sign), self.step, length).series(order)
+        s = Poch(Parameter.monomial(e, self.sign), self.step, self._length(n)).series(order)
         return s.invert() if self.denominator else s
+
+    def moves(self, n: int) -> Optional[tuple[range, range]]:
+        """Exponents of the binomials (1 - sign*q^e) that leave and join the product from n to n+1.
+
+        With slope = k*step the binomial exponents at n are exp_offset +
+        step*m for m in [k*n, k*n + length), an interval, so going to n + 1
+        drops the head of that interval and appends to its tail: two ranges
+        of at most k and k + 1 exponents, in increasing order.  For any other
+        slope the two exponent sets interleave and None is returned.
+        """
+        if self.exp_slope % self.step:
+            return None
+        k = self.exp_slope // self.step
+        lo, lo_next = k * n, k * (n + 1)
+        length, length_next = self._length(n), self._length(n + 1)
+        off, step = self.exp_offset, self.step
+        if length is None:
+            return range(off + step * lo, off + step * lo_next, step), range(0)
+        hi, hi_next = lo + length, lo_next + length_next
+        leaving = range(off + step * lo, off + step * min(hi, lo_next), step)
+        joining = range(off + step * max(hi, lo_next), off + step * hi_next, step)
+        return leaving, joining
 
 
 @dataclass(frozen=True)
@@ -219,14 +244,63 @@ class TermTemplate:
         return self.prefix_slope * n + self.prefix_offset
 
 
+def _rebuild(factors: Sequence[PochFactor], n: int, order: int) -> Series:
+    """The factor product at n, each factor expanded and multiplied in."""
+    product = Series.one(order)
+    for f in factors:
+        product = product * f.expand(n, order)
+    return product
+
+
+def _advance(product: Series, factors: Sequence[PochFactor], n: int, order: int) -> Optional[Series]:
+    """The factor product at n + 1 from the one at n, or None where it must be rebuilt.
+
+    Each factor multiplies in the binomials that join its numerator product
+    and divides out those that leave it; a denominator factor does the
+    reverse.  None means some factor's exponent sets are not intervals (see
+    PochFactor.moves) or a binomial to divide out has exponent 0, where it
+    is zero or 2 and so not a unit.
+    """
+    for f in factors:
+        moves = f.moves(n)
+        if moves is None:
+            return None
+        leaving, joining = moves
+        mul, div = (leaving, joining) if f.denominator else (joining, leaving)
+        if 0 in div:
+            return None
+        for e in mul:
+            if e > order:
+                break
+            product = product.scale(1 - f.sign) if e == 0 else mul_one_minus(product, f.sign, e)
+        for e in div:
+            if e > order:
+                break
+            product = div_one_minus(product, f.sign, e)
+    return product
+
+
 def sum_over_smallest(template: TermTemplate, order: int) -> Series:
-    """Evaluate a smallest-part sum; stops once the prefix passes the order."""
+    """Evaluate a smallest-part sum; stops once the prefix passes the order.
+
+    The factor product P(n) is carried from one n to the next: P(n+1) is
+    P(n) times the binomials that join each factor and divided by those that
+    leave it, a few O(order) `mul_one_minus`/`div_one_minus` calls, so the
+    sum costs O(order^2).  That holds whenever every factor's exp_slope is a
+    multiple of its step, which is the shape of every catalog template.  For
+    any other factor, and where a binomial with exponent 0 would have to be
+    divided out, P(n+1) is rebuilt from its Pochhammer expansions, at
+    O(order^2) per term, which raises the same errors those expansions raise.
+    """
     total = Series.zero(order)
+    product = None
     n = 0
     while template.prefix(n) <= order:
-        term = Series.monomial(template.prefix(n), order)
-        for f in template.factors:
-            term = term * f.expand(n, order)
+        if product is not None:
+            product = _advance(product, template.factors, n - 1, order)
+        if product is None:
+            product = _rebuild(template.factors, n, order)
+        term = product.shifted(template.prefix(n))
         if template.alternating and n % 2 == 1:
             term = -term
         total = total + term
@@ -249,7 +323,14 @@ def phi21(
 
     `z` must be a signed monomial with exponent >= 1 so the sum truncates;
     `c` may be zero (its Pochhammer is then identically 1) but not +q^0,
-    which would put a vanishing factor in the denominator.
+    which would put a vanishing factor in the denominator.  c = -q^0 puts
+    the non-unit 2 there, which raises SeriesError once the n = 1 term is
+    within the order.
+
+    The term is carried from one n to the next by its ratio
+    (1 - a Q^n)(1 - b Q^n) / ((1 - Q^(n+1))(1 - c Q^n)) * z, one O(order)
+    `mul_one_minus`/`div_one_minus` per factor whose exponent is within the
+    order, so the sum costs O(order^2).
     """
     if z.is_zero or z.exponent < 1:
         raise QEngineError("phi21 needs z = +-q^e with e >= 1 to truncate")
@@ -257,16 +338,28 @@ def phi21(
         raise QEngineError("c = q^0 makes the denominator Pochhammer vanish")
     if step < 1:
         raise QEngineError("phi21 step must be at least 1")
-    base = Parameter.monomial(step)
     total = Series.zero(order)
+    term = Series.one(order)
     n = 0
-    while n * z.exponent <= order:
-        num = poch_finite(a, step, n, order) * poch_finite(b, step, n, order)
-        den = poch_finite(base, step, n, order) * poch_finite(c, step, n, order)
-        term = num * den.invert()
-        term = term.shifted(n * z.exponent)
-        if z.sign == -1 and n % 2 == 1:
-            term = -term
+    while True:
         total = total + term
+        if (n + 1) * z.exponent > order:
+            return total
+        for p in (a, b):
+            e = p.exponent + step * n
+            if not p.is_zero and e <= order:
+                term = term.scale(1 - p.sign) if e == 0 else mul_one_minus(term, p.sign, e)
+        if step * (n + 1) <= order:
+            term = div_one_minus(term, 1, step * (n + 1))
+        e = c.exponent + step * n
+        if not c.is_zero and e <= order:
+            if e == 0:
+                raise SeriesError(
+                    "cannot invert a series with constant coefficient 2; "
+                    "only unit constants are invertible over the integers"
+                )
+            term = div_one_minus(term, c.sign, e)
+        term = term.shifted(z.exponent)
+        if z.sign == -1:
+            term = -term
         n += 1
-    return total

@@ -15,11 +15,12 @@ saying how to evaluate it, how to render it and which children it has.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from math import prod
 from typing import Any, Callable, Union
 
-from .series import Series
+from .series import Series, SeriesError
 from .qengine import (
     Parameter,
     Poch,
@@ -215,6 +216,15 @@ def _eval_pow(node: Pow, order: int) -> Series:
         base, k = base.invert(), -k
     if k > order and base.coeffs[0] == 0:
         return Series.zero(order)
+    # The constant term of the power is c0^k >= 2^((bits(c0) - 1) k), which
+    # has at least 0.3 (bits(c0) - 1) k decimal digits.  Refuse a power that
+    # could not be printed before spending time and memory that grow with k.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and 3 * (abs(base.coeffs[0]).bit_length() - 1) * k >= 10 * limit:
+        raise SeriesError(
+            f"the constant term {base.coeffs[0]}^{k} has more than {limit} digits, "
+            "too many to print"
+        )
     out = Series.one(order)
     while k:
         if k & 1:

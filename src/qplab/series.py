@@ -29,7 +29,7 @@ class Series:
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise SeriesError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(int(c) for c in coeffs)
+        self._coeffs = tuple(map(int, coeffs))
 
     # ------------------------------------------------------------------
     # constructors

@@ -53,7 +53,7 @@ def p_binom(sign, e, n):
     # 1 - sign*q^e
     out = p_one(n)
     if e <= n:
-        out[e] = -sign
+        out[e] -= sign
     return out
 
 
@@ -73,6 +73,61 @@ def p_poch_inf(sign, e, step, n):
     while e + step * j <= n:
         out = p_mul(out, p_binom(sign, e + step * j, n))
         j += 1
+    return out
+
+
+# ----------------------------------------------------------------------
+# basic hypergeometric and smallest-part sums, every term rebuilt from scratch
+#
+# A parameter is a pair (sign, exponent) standing for sign*q^exponent, with
+# sign 0 for the zero parameter.  Both sums return None where a denominator
+# of some term has a constant term other than +-1, i.e. is not invertible.
+
+
+def _p_poch_param(p, step, m, n):
+    sign, e = p
+    return p_one(n) if sign == 0 else p_poch_fin(sign, e, step, m, n)
+
+
+def phi21_series(a, b, c, step, z, n):
+    """sum_k (a;Q)_k (b;Q)_k / ((Q;Q)_k (c;Q)_k) z^k with Q = q^step."""
+    out = [0] * (n + 1)
+    k = 0
+    while k * z[1] <= n:
+        num = p_mul(_p_poch_param(a, step, k, n), _p_poch_param(b, step, k, n))
+        den = p_mul(p_poch_fin(1, step, step, k, n), _p_poch_param(c, step, k, n))
+        if den[0] not in (1, -1):
+            return None
+        term = p_mul(p_mono(k * z[1], n, z[0] ** k), p_mul(num, p_inv(den)))
+        out = p_add(out, term)
+        k += 1
+    return out
+
+
+def smallest_part_sum(prefix_slope, prefix_offset, factors, alternating, n):
+    """sum_k (+-1)^k q^(prefix_slope*k + prefix_offset) prod factors(k).
+
+    Each factor is (sign, slope, offset, step, length, denominator) for
+    (sign*q^(slope*k + offset); q^step)_length, inverted when denominator is
+    true; length is "n" (meaning k), "n+1", "inf" or a fixed integer.
+    """
+    out = [0] * (n + 1)
+    k = 0
+    while prefix_slope * k + prefix_offset <= n:
+        term = p_mono(prefix_slope * k + prefix_offset, n, -1 if alternating and k % 2 else 1)
+        for sign, slope, offset, step, length, denominator in factors:
+            e = slope * k + offset
+            if length == "inf":
+                f = p_poch_inf(sign, e, step, n)
+            else:
+                f = p_poch_fin(sign, e, step, {"n": k, "n+1": k + 1}.get(length, length), n)
+            if denominator:
+                if f[0] not in (1, -1):
+                    return None
+                f = p_inv(f)
+            term = p_mul(term, f)
+        out = p_add(out, term)
+        k += 1
     return out
 
 

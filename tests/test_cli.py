@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -208,6 +209,28 @@ def test_coeffs_huge_power_is_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert out.strip() == f"1,{k},{math.comb(k, 2)},{math.comb(k, 3)}"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter prints integers of any length",
+)
+@pytest.mark.parametrize("expression", ["2^999999999", "(2+q)^99999999", "(1/(1-q)+2)^10000000"])
+def test_coeffs_unprintable_power_is_refused_fast(capsys, expression):
+    # the constant term c0^k would have more digits than the interpreter prints
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coeffs", "--target", "rational:" + expression, "--order", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_coeffs_largest_printable_power(capsys):
+    # 3^9000 has 4295 digits, within the default limit of 4300
+    code, out, _ = run(capsys, "coeffs", "--target", "rational:3^9000", "--order", "0")
+    assert code == 0
+    assert out.strip() == str(3**9000)
 
 
 def test_coeffs_power_of_q_past_the_order_is_zero(capsys):

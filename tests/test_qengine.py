@@ -1,9 +1,10 @@
 import pytest
 
-from qplab.series import Series
+from qplab.series import Series, SeriesError
 from qplab.qengine import (
     LENGTH_INF,
     LENGTH_N,
+    LENGTH_N_PLUS_1,
     Parameter,
     Poch,
     PochFactor,
@@ -248,3 +249,101 @@ def test_poch_node_length_none_is_infinite():
         assert Poch(a, step, 4).series(15) == poch_finite(a, step, 4, 15)
     expect = oracles.p_poch_fin(-1, 1, 2, 3, 10)
     assert list(Poch(Parameter.monomial(1, -1), 2, 3).series(10).coeffs) == expect
+
+
+# ----------------------------------------------------------------------
+# term-ratio evaluators against term-rebuilding oracles
+
+_PARAMETERS = [Parameter.zero(), q(0), q(0, -1)] + [q(e, s) for e in (1, 2, 3) for s in (1, -1)]
+
+
+def _plain(p):
+    return (p.sign, p.exponent)
+
+
+def test_phi21_matches_term_rebuilding_oracle(rng):
+    for _ in range(200):
+        a, b = rng.choice(_PARAMETERS), rng.choice(_PARAMETERS)
+        c = rng.choice([p for p in _PARAMETERS if p != q(0)])
+        step = rng.randint(1, 3)
+        z = q(rng.randint(1, 3), rng.choice((1, -1)))
+        n = rng.randint(0, 24)
+        expect = oracles.phi21_series(_plain(a), _plain(b), _plain(c), step, _plain(z), n)
+        if expect is None:
+            with pytest.raises(SeriesError):
+                phi21(a, b, c, step, z, n)
+        else:
+            assert phi21(a, b, c, step, z, n) == Series(expect), (a, b, c, step, z, n)
+
+
+def _draw_factor(rng):
+    step = rng.randint(1, 3)
+    slope = rng.choice((0, step, 2 * step, 1))  # slope 1 with step 2 or 3 is rebuilt
+    length = rng.choice((LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF, 0, 1, 2))
+    sign = rng.choice((1, -1))
+    # (q^0; q^k)_inf is refused outright; every other unit argument is drawn
+    offset = rng.randint(1 if length == LENGTH_INF and sign == 1 else 0, 4)
+    return PochFactor(sign, slope, offset, step, length, rng.random() < 0.4)
+
+
+def test_sum_over_smallest_matches_term_rebuilding_oracle(rng):
+    for _ in range(200):
+        factors = tuple(_draw_factor(rng) for _ in range(rng.randint(0, 3)))
+        template = TermTemplate(rng.randint(1, 3), rng.randint(0, 2), factors, rng.random() < 0.3)
+        n = rng.randint(0, 24)
+        plain = [(f.sign, f.exp_slope, f.exp_offset, f.step, f.length, f.denominator)
+                 for f in factors]
+        expect = oracles.smallest_part_sum(
+            template.prefix_slope, template.prefix_offset, plain, template.alternating, n
+        )
+        if expect is None:
+            with pytest.raises(SeriesError):
+                sum_over_smallest(template, n)
+        else:
+            assert sum_over_smallest(template, n) == Series(expect), (template, n)
+
+
+def test_poch_factor_moves():
+    # (q^(2n+1); q^2)_inf: q^(2n+1) leaves, nothing joins
+    assert PochFactor(1, 2, 1, 2, LENGTH_INF).moves(3) == (range(7, 9, 2), range(0))
+    # (q^(n+2); q)_(n+1) at n=3 is q^5..q^8, at n=4 it is q^6..q^10
+    assert PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1).moves(3) == (range(5, 6), range(9, 11))
+    # a fixed-slope finite product only grows
+    assert PochFactor(-1, 0, 2, 2, LENGTH_N).moves(2) == (range(2, 2, 2), range(6, 8, 2))
+    # exponent sets of slope 1, step 2 interleave: no interval update
+    assert PochFactor(1, 1, 1, 2, LENGTH_INF).moves(0) is None
+
+
+def test_phi21_minus_one_c_raises_once_n_equals_one_is_in_range():
+    # (-1; q^2)_1 = 2 in the denominator of the n = 1 term, which starts at q^3
+    assert phi21(q(1), q(2), q(0, -1), 2, q(3), 2) == Series.one(2)
+    with pytest.raises(SeriesError, match="constant coefficient 2"):
+        phi21(q(1), q(2), q(0, -1), 2, q(3), 3)
+
+
+def test_template_minus_one_denominator_raises():
+    # 1/(-1; q^2)_n is 1 at n = 0 and has the constant 2 from n = 1
+    template = TermTemplate(1, 0, (PochFactor(-1, 0, 0, 2, LENGTH_N, True),))
+    assert sum_over_smallest(template, 0) == Series.one(0)
+    with pytest.raises(SeriesError, match="constant coefficient 2"):
+        sum_over_smallest(template, 1)
+    # an infinite one has the constant 2 already at n = 0
+    template = TermTemplate(1, 0, (PochFactor(-1, 2, 0, 2, LENGTH_INF, True),))
+    with pytest.raises(SeriesError, match="constant coefficient 2"):
+        sum_over_smallest(template, 5)
+
+
+def test_unit_numerator_zeroes_later_terms():
+    # (1; q)_n vanishes from n = 1, so only the n = 0 term is left
+    assert phi21(q(0), q(1), Parameter.zero(), 1, q(1), 10) == Series.one(10)
+    template = TermTemplate(1, 2, (PochFactor(1, 0, 0, 1, LENGTH_N), PochFactor(1, 0, 1, 1, LENGTH_N, True)))
+    assert sum_over_smallest(template, 10) == Series.monomial(2, 10)
+
+
+def test_unit_numerator_divided_out_is_rebuilt():
+    # sum_n q^n (q^n; q)_(n+1): the n = 0 term (1; q)_1 is zero, and the
+    # binomial 1 - q^0 leaves the product at n = 1, so that term is rebuilt
+    template = TermTemplate(1, 0, (PochFactor(1, 1, 0, 1, LENGTH_N_PLUS_1),))
+    expect = oracles.smallest_part_sum(1, 0, [(1, 1, 0, 1, "n+1", False)], False, 15)
+    assert expect[0] == 0
+    assert sum_over_smallest(template, 15) == Series(expect)
