@@ -5,8 +5,9 @@ A family is described by a smallest-part anchor plus one rule per
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
   value first and then filling the four cells in turn;
-* ``count_family`` / ``family_series`` count through cached products of
-  per-value factors, which scales far beyond listing range;
+* ``count_family`` / ``family_series`` count through products of
+  per-value factors, stepped from one smallest value to the next by dividing
+  out the factor that leaves, which scales far beyond listing range;
 * the generating-function templates in :mod:`qplab.family_gf` re-derive the
   same series through the q-engine.
 
@@ -289,22 +290,40 @@ def _cell_product(spec: FamilySpec, smallest: Optional[int], order: int, mode: s
 
 @lru_cache(maxsize=None)
 def _family_series(spec: FamilySpec, order: int, mode: str) -> Series:
+    """Sum over the smallest value s = 1, 3, 5, ... of q^base times the cell product.
+
+    The product for s + 2 is the one for s truncated to its lower order,
+    with the factor of each cell's leaving value start(s) divided out:
+    O(order) per cell and step, O(order^2) in all.
+    """
     if spec.anchor is None:
         return _cell_product(spec, None, order, mode)
-    total = Series.zero(order)
+    anchor_weight = 1
+    if mode == WEIGHT_ALL_PARTS and len(spec.anchor.colors) % 2 == 1:
+        anchor_weight = -1
+    total = [0] * (order + 1)
+    prod = None
     s = 1
-    while True:
-        base = s * len(spec.anchor.colors)
-        if base > order:
-            break
-        anchor_weight = 1
-        if mode == WEIGHT_ALL_PARTS and len(spec.anchor.colors) % 2 == 1:
-            anchor_weight = -1
-        prod = _cell_product(spec, s, order - base, mode)
-        shifted = Series([0] * base + list(prod.coeffs))
-        total = total + shifted.scale(anchor_weight)
+    while (base := s * len(spec.anchor.colors)) <= order:
+        top = order - base
+        if prod is None:
+            prod = _cell_product(spec, s, top, mode)
+        else:
+            prod = prod.truncate(top)
+            for color, parity in _CELLS:
+                rule = spec.cell(color, parity)
+                v = _cell_start(spec, color, parity, s - 2)
+                if not rule.allowed or v > top:
+                    continue
+                w = _part_weight(mode, color, v)
+                if rule.distinct:
+                    prod = div_one_minus(prod, -w, v)  # undo (1 + w q^v)
+                else:
+                    prod = mul_one_minus(prod, w, v)  # undo 1/(1 - w q^v)
+        for i, c in enumerate(prod.coeffs):
+            total[base + i] += anchor_weight * c
         s += 2
-    return total
+    return Series(total)
 
 
 def family_series(
@@ -419,47 +438,79 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
 
 
 # ----------------------------------------------------------------------
-# companion counts used by the catalog
+# companion counts used by the catalog: O(n^2) tables built with plain
+# integer-list recurrences, independent of the q-engine routes the catalog
+# compares them with
 
-@lru_cache(maxsize=None)
-def _overpartition_count(remaining: int, max_part: int, odd_only: bool) -> int:
-    if remaining == 0:
-        return 1
-    if max_part < 1:
-        return 0
-    total = _overpartition_count(remaining, max_part - 1, odd_only)
-    if odd_only and max_part % 2 == 0:
-        return total
-    copies = 1
-    while copies * max_part <= remaining:
-        # the first occurrence of this part size may be overlined
-        total += 2 * _overpartition_count(
-            remaining - copies * max_part, max_part - 1, odd_only
-        )
-        copies += 1
-    return total
+def overpartition_counts(n: int, odd_only: bool = False) -> list[int]:
+    """Overpartitions of 0..n, optionally restricted to odd parts.
+
+    The table is the product of (1 + q^k) / (1 - q^k) over the allowed part
+    sizes k <= n, two O(n) updates per k: O(n^2) in all.
+    """
+    if n < 0:
+        raise PartitionError("n must be nonnegative")
+    table = [1] + [0] * n
+    for k in range(1, n + 1, 2 if odd_only else 1):
+        _include_part(table, k, False, n)
+        _include_part(table, k, True, n)
+    return table
 
 
 def count_overpartitions(n: int, odd_only: bool = False) -> int:
     """Overpartitions of n, optionally restricted to odd parts."""
+    return overpartition_counts(n, odd_only)[n]
+
+
+def _include_part(table: list[int], v: int, distinct: bool, top: int) -> None:
+    """Multiply table[0..top] in place by (1 + q^v) if distinct, else by 1/(1 - q^v)."""
+    if distinct:
+        for i in range(top, v - 1, -1):
+            table[i] += table[i - v]
+    else:
+        for i in range(v, top + 1):
+            table[i] += table[i - v]
+
+
+def _exclude_part(table: list[int], v: int, distinct: bool, top: int) -> None:
+    """Undo `_include_part`: divide table[0..top] in place by the same factor."""
+    if distinct:
+        for i in range(v, top + 1):
+            table[i] -= table[i - v]
+    else:
+        for i in range(top, v - 1, -1):
+            table[i] -= table[i - v]
+
+
+def ady_counts(n: int, distinct: bool, allow_zero_part: bool = False) -> list[int]:
+    """`count_ady` for each of 0..n, in O(n^2).
+
+    For a smallest part s, the other parts are those at least s (above s
+    when distinct) that are even or below 2s; `parts[m]` counts the
+    partitions of m into them.  From s to s + 1 the part s (s + 1 when
+    distinct) leaves that set and the odd part 2s + 1 joins it, one O(n)
+    update each, and the table gains `parts` shifted by s.  With a zero
+    part no odd part is allowed, which leaves the partitions into distinct
+    even parts: `parts` before s = 1 when distinct.
+    """
     if n < 0:
         raise PartitionError("n must be nonnegative")
-    return _overpartition_count(n, n, odd_only)
-
-
-@lru_cache(maxsize=None)
-def _bounded_odd_count(remaining: int, min_value: int, odd_cap: int, distinct: bool) -> int:
-    """Partitions with parts >= min_value and every odd part < odd_cap."""
-    if remaining == 0:
-        return 1
-    total = 0
-    for v in range(min_value, remaining + 1):
-        if v % 2 == 1 and v >= odd_cap:
-            continue
-        total += _bounded_odd_count(
-            remaining - v, v + 1 if distinct else v, odd_cap, distinct
-        )
-    return total
+    if allow_zero_part and not distinct:
+        raise PartitionError("a zero part is only meaningful for distinct parts")
+    parts = [1] + [0] * n
+    for v in range(2, n + 1, 2):
+        _include_part(parts, v, distinct, n)
+    table = list(parts) if allow_zero_part else [0] * (n + 1)
+    if not distinct:
+        _include_part(parts, 1, False, n)
+    for s in range(1, n + 1):
+        for m in range(s, n + 1):
+            table[m] += parts[m - s]
+        # only parts[0..n-s-1] matter from s + 1 on
+        top = n - s - 1
+        _exclude_part(parts, s + 1 if distinct else s, distinct, top)
+        _include_part(parts, 2 * s + 1, distinct, top)
+    return table
 
 
 def count_ady(n: int, distinct: bool, allow_zero_part: bool = False) -> int:
@@ -470,19 +521,7 @@ def count_ady(n: int, distinct: bool, allow_zero_part: bool = False) -> int:
     the bound).  The empty partition is never counted; for n = 0 the only
     admissible object is the bare zero part.
     """
-    if n < 0:
-        raise PartitionError("n must be nonnegative")
-    if allow_zero_part and not distinct:
-        raise PartitionError("a zero part is only meaningful for distinct parts")
-    total = 0
-    for s in range(1, n + 1):
-        total += _bounded_odd_count(n - s, s + 1 if distinct else s, 2 * s, distinct)
-    if distinct and allow_zero_part:
-        if n == 0:
-            total += 1
-        else:
-            total += _bounded_odd_count(n, 1, 0, True)
-    return total
+    return ady_counts(n, distinct, allow_zero_part)[n]
 
 
 def is_square(n: int) -> bool:

@@ -291,21 +291,23 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     any other factor, and where a binomial with exponent 0 would have to be
     divided out, P(n+1) is rebuilt from its Pochhammer expansions, at
     O(order^2) per term, which raises the same errors those expansions raise.
+    P(n) is kept only to order - prefix(n), the part that lands within the
+    order once shifted by q^prefix(n).
     """
-    total = Series.zero(order)
+    total = [0] * (order + 1)
     product = None
     n = 0
-    while template.prefix(n) <= order:
+    while (shift := template.prefix(n)) <= order:
+        top = order - shift
         if product is not None:
-            product = _advance(product, template.factors, n - 1, order)
+            product = _advance(product.truncate(top), template.factors, n - 1, top)
         if product is None:
-            product = _rebuild(template.factors, n, order)
-        term = product.shifted(template.prefix(n))
-        if template.alternating and n % 2 == 1:
-            term = -term
-        total = total + term
+            product = _rebuild(template.factors, n, top)
+        sign = -1 if template.alternating and n % 2 == 1 else 1
+        for i, c in enumerate(product.coeffs):
+            total[shift + i] += sign * c
         n += 1
-    return total
+    return Series(total)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +332,9 @@ def phi21(
     The term is carried from one n to the next by its ratio
     (1 - a Q^n)(1 - b Q^n) / ((1 - Q^(n+1))(1 - c Q^n)) * z, one O(order)
     `mul_one_minus`/`div_one_minus` per factor whose exponent is within the
-    order, so the sum costs O(order^2).
+    order, so the sum costs O(order^2).  The n-th term is carried without
+    its z^n, to order - n * z's exponent, the part that lands within the
+    order once multiplied by z^n.
     """
     if z.is_zero or z.exponent < 1:
         raise QEngineError("phi21 needs z = +-q^e with e >= 1 to truncate")
@@ -338,28 +342,29 @@ def phi21(
         raise QEngineError("c = q^0 makes the denominator Pochhammer vanish")
     if step < 1:
         raise QEngineError("phi21 step must be at least 1")
-    total = Series.zero(order)
+    total = [0] * (order + 1)
     term = Series.one(order)
     n = 0
     while True:
-        total = total + term
-        if (n + 1) * z.exponent > order:
-            return total
+        shift, sign = n * z.exponent, z.sign ** n
+        for i, t in enumerate(term.coeffs):
+            total[shift + i] += sign * t
+        top = order - shift - z.exponent
+        if top < 0:
+            return Series(total)
+        term = term.truncate(top)
         for p in (a, b):
             e = p.exponent + step * n
-            if not p.is_zero and e <= order:
+            if not p.is_zero and e <= top:
                 term = term.scale(1 - p.sign) if e == 0 else mul_one_minus(term, p.sign, e)
-        if step * (n + 1) <= order:
+        if step * (n + 1) <= top:
             term = div_one_minus(term, 1, step * (n + 1))
         e = c.exponent + step * n
-        if not c.is_zero and e <= order:
+        if not c.is_zero and e <= top:
             if e == 0:
                 raise SeriesError(
                     "cannot invert a series with constant coefficient 2; "
                     "only unit constants are invertible over the integers"
                 )
             term = div_one_minus(term, c.sign, e)
-        term = term.shifted(z.exponent)
-        if z.sign == -1:
-            term = -term
         n += 1

@@ -384,16 +384,12 @@ _RULES: dict[type, _Rule] = {
         lambda n: f"gf[{n.family}{', signed' if n.signed else ''}]",
     ),
     Overpartitions: _Rule(
-        lambda n, order: Series(
-            [partitions.count_overpartitions(m, n.odd_only) for m in range(order + 1)]
-        ),
+        lambda n, order: Series(partitions.overpartition_counts(order, n.odd_only)),
         lambda n: "overpartition counts" + (" (odd parts)" if n.odd_only else ""),
         counts=True,
     ),
     AdyCounts: _Rule(
-        lambda n, order: Series(
-            [partitions.count_ady(m, n.distinct, n.allow_zero) for m in range(order + 1)]
-        ),
+        lambda n, order: Series(partitions.ady_counts(order, n.distinct, n.allow_zero)),
         lambda n: f"counts[odd parts < 2*smallest, {'distinct' if n.distinct else 'repeated'}"
         f"{' + optional zero part' if n.allow_zero else ''}]",
         counts=True,

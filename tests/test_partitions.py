@@ -1,7 +1,13 @@
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 
 from qplab.qengine import Parameter, poch_infinite
-from qplab.mocktheta import nu
+from qplab.mocktheta import nu, omega
+from qplab.family_gf import family_gf_series
 from qplab import partitions as P
 
 import oracles
@@ -133,8 +139,69 @@ def test_ady_count_matches_filter_oracle():
         assert P.count_ady(n, distinct=True, allow_zero_part=True) == with_zero
 
 
+LARGE_N = 300
+
+
+def test_ady_counts_match_omega_at_large_n():
+    # count_ady(n, False) is the q^n coefficient of q*omega(q)
+    table = P.ady_counts(LARGE_N, distinct=False)
+    assert table == [0] + list(omega(LARGE_N - 1).coeffs)
+    assert P.count_ady(LARGE_N, distinct=False) == table[LARGE_N]
+
+
+def test_distinct_ady_counts_with_zero_part_match_nu_at_large_n():
+    table = P.ady_counts(LARGE_N, distinct=True, allow_zero_part=True)
+    assert table == list(nu(LARGE_N, sign=-1).coeffs)
+    assert P.count_ady(LARGE_N, distinct=True, allow_zero_part=True) == table[LARGE_N]
+
+
+@pytest.mark.parametrize("odd_only", (False, True))
+def test_overpartition_counts_match_products_at_large_n(odd_only):
+    # (-q; q^k)_inf / (q; q^k)_inf, k = 2 for odd parts
+    step = 2 if odd_only else 1
+    expect = oracles.p_mul(
+        oracles.p_poch_inf(-1, 1, step, LARGE_N),
+        oracles.p_inv(oracles.p_poch_inf(1, 1, step, LARGE_N)),
+    )
+    assert P.overpartition_counts(LARGE_N, odd_only) == expect
+    assert P.count_overpartitions(LARGE_N, odd_only) == expect[LARGE_N]
+
+
+def test_counts_at_n_900_need_no_deep_recursion():
+    code = (
+        "from qplab.partitions import count_ady, count_overpartitions\n"
+        "print(count_ady(900, False), count_overpartitions(900))"
+    )
+    src = os.path.dirname(os.path.dirname(P.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        str(P.count_ady(900, False)), str(P.count_overpartitions(900))
+    ]
+
+
+def test_count_tables_reject_bad_arguments():
+    with pytest.raises(P.PartitionError, match="n must be nonnegative"):
+        P.overpartition_counts(-1)
+    with pytest.raises(P.PartitionError, match="n must be nonnegative"):
+        P.count_ady(-1, distinct=True)
+    with pytest.raises(P.PartitionError, match="zero part"):
+        P.ady_counts(5, distinct=False, allow_zero_part=True)
+
+
 # ----------------------------------------------------------------------
 # series-level checks
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_family_series_matches_generating_function_at_order_120(name):
+    spec = P.FAMILIES[name]
+    for mode in (P.WEIGHT_NONE, spec.weight):
+        got = P.family_series(spec, 120, mode, budget=120)
+        assert got == family_gf_series(name, mode != P.WEIGHT_NONE, 120)
+
 
 def test_brute_series_E_product():
     n = 10
@@ -212,6 +279,29 @@ def test_weighted_Tnu_counts_distinct_bounded_odd_partitions():
         assert P.count_family(spec, n + 1, use_weight=True) == P.count_ady(
             n, distinct=True, allow_zero_part=True
         )
+
+
+# ----------------------------------------------------------------------
+# independence of the counting route
+
+
+def test_partitions_imports_none_of_the_routes_it_is_compared_with():
+    # the catalog checks these counts against qengine, mocktheta and
+    # family_gf, so computing them through any of those would prove nothing
+    with open(P.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    forbidden = ("qengine", "mocktheta", "family_gf")
+    assert not [
+        name for name in imported
+        if any(part in forbidden for part in name.split("."))
+    ]
 
 
 # ----------------------------------------------------------------------
