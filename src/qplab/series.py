@@ -5,6 +5,17 @@ beyond.  Arithmetic truncates to the smaller order of its operands, so a
 result never claims more precision than its inputs support.  Coefficients
 are plain Python ints and therefore exact at any size; no floating point
 enters anywhere.
+
+Products take one of two paths.  When both operands, truncated to the
+smaller order and stripped of trailing zeros, have at least
+``KRONECKER_MIN_TERMS`` coefficients and at least 3/5 of them nonzero, the
+product is one big-int multiply by Kronecker substitution: both are packed
+into ints, and CPython's Karatsuba multiplies them in about
+O((length * slot bits)^1.585) digit operations.  Otherwise a schoolbook loop
+over the nonzero terms of the sparser operand makes O(nonzeros * length)
+coefficient products; sparse operands (the binomial and step-k Pochhammer
+factors) stay there, as does anything short.  Both paths give the same
+integers.
 """
 
 from __future__ import annotations
@@ -88,9 +99,6 @@ class Series:
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 
-    def nonzero_count(self) -> int:
-        return sum(1 for c in self._coeffs if c)
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -115,25 +123,27 @@ class Series:
         return Series([k * c for c in self._coeffs])
 
     def __mul__(self, other: Union["Series", int]) -> "Series":
+        """The product through the smaller order of the two operands.
+
+        Both operands are truncated to that order and stripped of trailing
+        zeros.  When both are dense (at least ``KRONECKER_MIN_TERMS`` long
+        and 3/5 nonzero), the product is one big-int multiply by Kronecker
+        substitution (:func:`_kronecker`); otherwise a schoolbook loop runs
+        over the nonzero terms of the sparser operand, O(nonzeros * length)
+        coefficient products.
+        """
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        # iterate over the operand with fewer nonzero terms
-        a, b = self, other
-        if a.nonzero_count() > b.nonzero_count():
+        size = min(len(self._coeffs), len(other._coeffs))
+        a = _trimmed(self._coeffs[:size])
+        b = a if other is self else _trimmed(other._coeffs[:size])
+        if _dense(a) and _dense(b):
+            return Series(_kronecker(a, b, size))
+        if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        out = [0] * (n + 1)
-        bc = b._coeffs
-        for i, ca in enumerate(a._coeffs[: n + 1]):
-            if not ca:
-                continue
-            hi = n - i
-            for j, cb in enumerate(bc[: hi + 1]):
-                if cb:
-                    out[i + j] += ca * cb
-        return Series(out)
+        return Series(_schoolbook(a, b, size))
 
     def __rmul__(self, other: int) -> "Series":
         if isinstance(other, int):
@@ -243,6 +253,8 @@ def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:
 
 def equal_up_to(a: Series, b: Series, n: int) -> Comparison:
     """Compare coefficients of q^0..q^n; report the first mismatch if any."""
+    if n < 0:
+        raise SeriesError(f"cannot compare through q^{n}: the order must be nonnegative")
     if n > a.order or n > b.order:
         raise SeriesError(
             f"cannot compare through q^{n}: orders are {a.order} and {b.order}"
@@ -275,3 +287,78 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
     for i in range(e, len(out)):
         out[i] += c * out[i - e]
     return Series(out)
+
+
+# ----------------------------------------------------------------------
+# the two product paths behind Series.__mul__
+
+#: Kronecker substitution runs only when both trimmed operands are at least
+#: this long and at least 3/5 nonzero.  Shorter, packing costs more than the
+#: schoolbook loop saves (they break even near 14 small coefficients).
+#: Sparser, as a step-2 or step-3 operand (a half or a third nonzero) is,
+#: its zeros are packed into the big-int multiply too: at order 1200 a dense
+#: 1,208-bit (1-q)^1213 times the step-2 814-bit (1-q^2)^819 takes 0.44 s
+#: that way against 0.31 s in the schoolbook loop, and times the step-3
+#: 1/(1-q^3)^49 0.22 s against 0.10 s.
+KRONECKER_MIN_TERMS = 16
+
+
+def _trimmed(c: tuple[int, ...]) -> tuple[int, ...]:
+    """`c` without its trailing zeros."""
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return c[:end]
+
+
+def _dense(c: tuple[int, ...]) -> bool:
+    """True when the trimmed coefficients `c` may take the Kronecker path."""
+    return len(c) >= KRONECKER_MIN_TERMS and 5 * (len(c) - c.count(0)) >= 3 * len(c)
+
+
+def _schoolbook(a: tuple[int, ...], b: tuple[int, ...], size: int) -> list[int]:
+    """The first `size` coefficients of a*b, one term of `a` at a time.
+
+    O(nonzeros(a) * len(b)) coefficient products; `a` should be the sparser.
+    """
+    out = [0] * size
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b[: size - i]):
+            if cb:
+                out[i + j] += ca * cb
+    return out
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], size: int) -> list[int]:
+    """The first `size` coefficients of a*b by Kronecker substitution.
+
+    Each operand is packed into one int, coefficient i in the w-byte slot i
+    (the polynomial evaluated at 2^(8w)), so one CPython (Karatsuba) multiply
+    forms every product coefficient at once.  A product coefficient is a sum
+    of at most min(len a, len b) products, so its magnitude stays below
+    2^(bits(max|a|) + bits(max|b|) + bits(min(len a, len b))); one more bit
+    for the sign gives the slot width.  Packing offsets every coefficient by
+    half a slot so each slot's bytes are nonnegative, then subtracts the
+    offsets back out; unpacking adds half a slot to every product
+    coefficient, so the slots no longer borrow from each other and read back
+    directly.  Bytes, not decimal text, carry the digits, so no
+    int-to-str limit applies.
+    """
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    width = (bits + min(len(a), len(b)).bit_length() + 1 + 7) // 8
+    half = 1 << (8 * width - 1)
+    offset = b"\x00" * (width - 1) + b"\x80"  # one slot holding `half`
+
+    def pack(c: tuple[int, ...]) -> int:
+        slots = b"".join([(x + half).to_bytes(width, "little") for x in c])
+        return int.from_bytes(slots, "little") - int.from_bytes(offset * len(c), "little")
+
+    packed_a = pack(a)
+    product = packed_a * (packed_a if b is a else pack(b))
+    m = min(len(a) + len(b) - 1, size)
+    biased = (product + int.from_bytes(offset * m, "little")) & ((1 << 8 * width * m) - 1)
+    slots = biased.to_bytes(width * m, "little")
+    out = [int.from_bytes(slots[i : i + width], "little") - half for i in range(0, width * m, width)]
+    return out + [0] * (size - m)

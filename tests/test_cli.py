@@ -9,6 +9,8 @@ from qplab import registry
 from qplab.cli import main
 from qplab.registry import IdentityReport, Mismatch
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -237,6 +239,34 @@ def test_coeffs_power_of_q_past_the_order_is_zero(capsys):
     code, out, _ = run(capsys, "coeffs", "--target", "rational:2+q^99999999999999", "--order", "3")
     assert code == 0
     assert out.strip() == "2,0,0,0"
+
+
+def _binomial_power(sign, exponent, power, order):
+    """(1 + sign*q^exponent)^power by the binomial theorem; power may be negative."""
+    out = [0] * (order + 1)
+    for j in range(order // exponent + 1):
+        if power >= 0:
+            out[j * exponent] = math.comb(power, j) * sign**j
+        else:
+            out[j * exponent] = math.comb(-power + j - 1, j) * (-sign) ** j
+    return out
+
+
+def test_coeffs_large_rational_powers(capsys):
+    # binary powering squares dense (1-q)^k and multiplies it by the sparse
+    # (1+q^2)^k and 1/(1-q^3)^50, so both product paths meet coefficients of
+    # about a thousand bits
+    order = 400
+    code, out, _ = run(
+        capsys, "coeffs", "--target", "rational:(1-q)^1200*(1+q^2)^800/(1-q^3)^50",
+        "--order", str(order), "--csv",
+    )
+    assert code == 0
+    expected = oracles.p_mul(
+        oracles.p_mul(_binomial_power(-1, 1, 1200, order), _binomial_power(1, 2, 800, order)),
+        _binomial_power(-1, 3, -50, order),
+    )
+    assert out.splitlines() == ["n,coefficient"] + [f"{n},{c}" for n, c in enumerate(expected)]
 
 
 # ----------------------------------------------------------------------

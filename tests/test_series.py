@@ -1,5 +1,6 @@
 import pytest
 
+from qplab import series
 from qplab.series import Series, SeriesError, equal_up_to, linear_combine
 
 import oracles
@@ -116,6 +117,11 @@ def test_equal_up_to_rejects_beyond_order():
         equal_up_to(S(1, 1), S(1, 1, 1), 2)
 
 
+def test_equal_up_to_rejects_negative_order():
+    with pytest.raises(SeriesError):
+        equal_up_to(S(1, 1), S(2, 1), -1)
+
+
 def test_equal_up_to_qomega_vs_psi():
     # oracle: direct summation of both defining series
     n = 10
@@ -144,3 +150,66 @@ def test_shifted():
     assert S(1, 2, 3).shifted(1) == S(0, 1, 2)
     with pytest.raises(SeriesError):
         S(1).shifted(-1)
+
+
+# ----------------------------------------------------------------------
+# Series.__mul__ against the schoolbook oracle, on both product paths
+
+#: bit lengths at byte edges and of the size binary powering reaches
+EDGE_BITS = (7, 8, 15, 16, 63, 64, 1000, 1999)
+
+
+def _edge_coefficient(rng, k):
+    # weighted towards the largest magnitudes, which fill the slots
+    return rng.choice((0, 1, -1, -(2**k), 2**k - 1, 2**k - 1, -(2**k - 1), -(2**k - 1)))
+
+
+def _draw_operand(rng, order):
+    """Coefficients through q^order in one of the shapes the products meet."""
+    k = rng.choice(EDGE_BITS + (rng.randint(1000, 2000),))
+    shape = rng.choice(("dense", "dense", "step-2", "step-3", "polynomial", "zero", "no-constant"))
+    if shape == "zero":
+        return [0] * (order + 1)
+    if shape == "polynomial":
+        # a short polynomial: trailing zeros fill the rest of the order
+        terms = [_edge_coefficient(rng, k) for _ in range(rng.randint(1, 40))]
+        return (terms + [0] * (order + 1))[: order + 1]
+    step = {"step-2": 2, "step-3": 3}.get(shape, 1)
+    out = [_edge_coefficient(rng, k) if i % step == 0 else 0 for i in range(order + 1)]
+    if shape == "no-constant":
+        out[0] = 0
+    return out
+
+
+def test_mul_matches_oracle_on_both_paths(rng, monkeypatch):
+    calls = {"_kronecker": 0, "_schoolbook": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(series, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(series, name, counted)
+    for _ in range(250):
+        order = rng.choice((rng.randint(0, 40), rng.randint(0, 400)))
+        other = order if rng.random() < 0.7 else rng.randint(0, 400)
+        a, b = _draw_operand(rng, order), _draw_operand(rng, other)
+        assert (Series(a) * Series(b)).coeffs == tuple(oracles.p_mul(a, b))
+    assert calls["_kronecker"] >= 25 and calls["_schoolbook"] >= 25
+
+
+@pytest.mark.parametrize("k", EDGE_BITS)
+def test_mul_fills_the_kronecker_slot(rng, k):
+    # Every coefficient of a is +-(2^k - 1) and of b +-(2^j - 1), so the
+    # product's coefficient at q^(len-1), len * (2^k - 1) * (2^j - 1), has
+    # the full k + j + bits(len) bits.  With that sum one short of a multiple
+    # of 8 the slot has no spare bit beside the sign; with it a multiple of
+    # 8, a slot without the sign bit would overflow.
+    for m in range(5, 10):
+        length = min(2**m - 1, 401)
+        for spare in (0, 1):
+            j = k + (-(2 * k + m + spare)) % 8
+            sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+            a = [sa * (2**k - 1)] * length
+            b = [sb * (2**j - 1)] * length
+            product = (Series(a) * Series(b)).coeffs
+            assert product == tuple(oracles.p_mul(a, b))
+            assert abs(product[-1]).bit_length() == k + j + m
