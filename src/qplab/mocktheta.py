@@ -17,8 +17,9 @@ cross-checks in the identity catalog meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
-from .series import Series, div_one_minus, mul_one_minus
+from .series import Series, idiv_one_minus, imul_one_minus
 from .qengine import Parameter, QEngineError, phi21, poch_infinite
 
 FUNCTIONS = ("omega", "psi", "nu")
@@ -54,63 +55,78 @@ class MockThetaForm:
 
 
 def omega(order: int) -> Series:
-    """omega(q) by its defining sum; terms vanish once 2n^2+2n > order."""
-    total = Series.zero(order)
-    inv_poch = div_one_minus(Series.one(order), 1, 1)  # 1/(q;q^2)_1
+    """omega(q) by its defining sum; terms vanish once 2n^2+2n > order.
+
+    1/(q;q^2)_{n+1}^2 is carried as one list through q^(order - 2n^2 - 2n),
+    the part that lands within the order, dividing by (1 - q^(2n+3)) twice
+    from one n to the next.
+    """
+    total = [0] * (order + 1)
+    inv_sq = [1] + [0] * order
+    idiv_one_minus(inv_sq, 1, 1, order)
+    idiv_one_minus(inv_sq, 1, 1, order)  # 1/(q;q^2)_1^2
     n = 0
-    while 2 * n * n + 2 * n <= order:
-        total = total + (inv_poch * inv_poch).shifted(2 * n * n + 2 * n)
-        inv_poch = div_one_minus(inv_poch, 1, 2 * n + 3)
+    while (shift := 2 * n * n + 2 * n) <= order:
+        total[shift:] = map(add, total[shift:], inv_sq)
+        top = order - shift - 4 * n - 4  # the next shift is 2(n+1)^2 + 2(n+1)
+        idiv_one_minus(inv_sq, 1, 2 * n + 3, top)
+        idiv_one_minus(inv_sq, 1, 2 * n + 3, top)
         n += 1
-    return total
+    return Series._trusted(total)
 
 
 def omega_fine(order: int) -> Series:
     """omega(q) = sum_{n>=0} q^n / (q;q^2)_{n+1}, built by term ratios."""
-    term = div_one_minus(Series.one(order), 1, 1)
-    total = Series.zero(order)
+    total = [0] * (order + 1)
+    term = [1] + [0] * order  # the n-th term without its q^n
+    idiv_one_minus(term, 1, 1, order)
     for n in range(order + 1):
-        total = total + term
-        term = div_one_minus(term, 1, 2 * n + 3).shifted(1)
-    return total
+        total[n:] = map(add, total[n:], term)
+        idiv_one_minus(term, 1, 2 * n + 3, order - n - 1)
+    return Series._trusted(total)
 
 
 def omega_ady(order: int) -> Series:
     """sum_{n>=1} q^n / ((1-q^n) (q^(n+1);q)_n (q^(2n+2);q^2)_inf) = q*omega(q)."""
-    term = poch_infinite(Parameter.monomial(4), 2, order).invert()
-    term = div_one_minus(div_one_minus(term, 1, 1), 1, 2).shifted(1)
-    total = Series.zero(order)
-    n = 1
-    while n <= order:
-        total = total + term
+    total = [0] * (order + 1)
+    if order < 1:
+        return Series._trusted(total)
+    # the n-th term without its q^n, through q^(order - n)
+    term = list(poch_infinite(Parameter.monomial(4), 2, order - 1).invert().coeffs)
+    idiv_one_minus(term, 1, 1, order - 1)
+    idiv_one_minus(term, 1, 2, order - 1)
+    for n in range(1, order + 1):
+        total[n:] = map(add, total[n:], term)
         # term ratio: q (1-q^n) / (1-q^(2n+1))
-        term = div_one_minus(mul_one_minus(term, 1, n), 1, 2 * n + 1).shifted(1)
-        n += 1
-    return total
+        imul_one_minus(term, 1, n, order - n - 1)
+        idiv_one_minus(term, 1, 2 * n + 1, order - n - 1)
+    return Series._trusted(total)
 
 
 def psi(order: int) -> Series:
-    """psi(q) by its defining sum from n = 1; constant term is zero."""
-    total = Series.zero(order)
-    if order < 1:
-        return total
-    term = div_one_minus(Series.one(order), 1, 1).shifted(1)  # q/(1-q)
+    """psi(q) by its defining sum from n = 1; constant term is zero.
+
+    1/(q;q^2)_n is carried as one list through q^(order - n^2).
+    """
+    total = [0] * (order + 1)
+    term = [1] + [0] * order
+    idiv_one_minus(term, 1, 1, order)
     n = 1
     while n * n <= order:
-        total = total + term
-        term = div_one_minus(term, 1, 2 * n + 1).shifted(2 * n + 1)
+        total[n * n :] = map(add, total[n * n :], term)
+        idiv_one_minus(term, 1, 2 * n + 1, order - (n + 1) ** 2)
         n += 1
-    return total
+    return Series._trusted(total)
 
 
 def psi_fine(order: int) -> Series:
     """psi(q) = sum_{n>=0} (-q^2;q^2)_n q^(n+1), built by term ratios."""
-    term = Series.monomial(1, order)
-    total = Series.zero(order)
+    total = [0] * (order + 1)
+    term = [1] + [0] * order  # (-q^2;q^2)_n, through q^(order - n - 1)
     for n in range(order):
-        total = total + term
-        term = mul_one_minus(term, -1, 2 * n + 2).shifted(1)
-    return total
+        total[n + 1 :] = map(add, total[n + 1 :], term)
+        imul_one_minus(term, -1, 2 * n + 2, order - n - 2)
+    return Series._trusted(total)
 
 
 def nu(order: int, sign: int = 1) -> Series:
@@ -118,17 +134,20 @@ def nu(order: int, sign: int = 1) -> Series:
 
     The -q evaluation is computed directly as sum q^n (-q;q^2)_n rather than
     by flipping signs afterwards, so the two routes can be cross-checked.
+    The product (sign*q;q^2)_n is carried as one list through
+    q^(order - n), the part that lands within the order once multiplied
+    by q^n.
     """
     if sign not in (-1, 1):
         raise QEngineError("sign must be -1 or +1")
-    term = Series.one(order)
-    total = Series.zero(order)
+    total = [0] * (order + 1)
+    product = [1] + [0] * order
     for n in range(order + 1):
-        total = total + term
-        term = mul_one_minus(term, sign, 2 * n + 1).shifted(1)
-        if sign == 1:
-            term = -term
-    return total
+        # the n-th term is (-q)^n (q;q^2)_n at +q and q^n (-q;q^2)_n at -q
+        negative = sign == 1 and n % 2 == 1
+        total[n:] = map(sub if negative else add, total[n:], product)
+        imul_one_minus(product, sign, 2 * n + 1, order - n - 1)
+    return Series._trusted(total)
 
 
 def nu_fine(order: int, sign: int = 1) -> Series:
@@ -154,15 +173,15 @@ def nu_fine(order: int, sign: int = 1) -> Series:
 
 def nu_ady(order: int) -> Series:
     """sum_{n>=0} q^n (-q^(n+1);q)_n (-q^(2n+2);q^2)_inf = nu(-q)."""
-    term = poch_infinite(Parameter.monomial(2, -1), 2, order)
-    total = Series.zero(order)
-    n = 0
-    while n <= order:
-        total = total + term
+    total = [0] * (order + 1)
+    # the n-th term without its q^n, through q^(order - n)
+    term = list(poch_infinite(Parameter.monomial(2, -1), 2, order).coeffs)
+    for n in range(order + 1):
+        total[n:] = map(add, total[n:], term)
         # term ratio: q (1+q^(2n+1)) / (1+q^(n+1))
-        term = div_one_minus(mul_one_minus(term, -1, 2 * n + 1), -1, n + 1).shifted(1)
-        n += 1
-    return total
+        imul_one_minus(term, -1, 2 * n + 1, order - n - 1)
+        idiv_one_minus(term, -1, n + 1, order - n - 1)
+    return Series._trusted(total)
 
 
 def theta_squares(order: int, alternating: bool = False) -> Series:

@@ -8,9 +8,10 @@ plain integer power series.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Optional, Sequence, Union
 
-from .series import Series, SeriesError, div_one_minus, mul_one_minus
+from .series import Series, SeriesError, idiv_one_minus, imul_one_minus
 
 
 class QEngineError(ValueError):
@@ -68,18 +69,18 @@ def poch_finite(a: Parameter, step: int, length: int, order: int) -> Series:
         raise QEngineError("Pochhammer length must be nonnegative")
     if step < 1:
         raise QEngineError("Pochhammer step must be at least 1")
-    out = Series.one(order)
+    out = [1] + [0] * order
     if a.is_zero or length == 0:
-        return out
+        return Series._trusted(out)
     for j in range(length):
         e = a.exponent + step * j
         if e > order:
             break
-        if e == 0:
-            out = out.scale(1 - a.sign)
+        if e == 0:  # the first factor, so out is still 1
+            out[0] = 1 - a.sign
         else:
-            out = mul_one_minus(out, a.sign, e)
-    return out
+            imul_one_minus(out, a.sign, e, order)
+    return Series._trusted(out)
 
 
 def poch_infinite(a: Parameter, step: int, order: int) -> Series:
@@ -95,18 +96,18 @@ def poch_infinite(a: Parameter, step: int, order: int) -> Series:
         return Series.one(order)
     if a.exponent == 0 and a.sign == 1:
         raise QEngineError("(q^0; q^k)_inf vanishes; refusing to build it")
-    out = Series.one(order)
+    out = [1] + [0] * order
     j = 0
     while True:
         e = a.exponent + step * j
         if e > order:
             break
-        if e == 0:
-            out = out.scale(2)
+        if e == 0:  # the first factor, so out is still 1
+            out[0] = 2
         else:
-            out = mul_one_minus(out, a.sign, e)
+            imul_one_minus(out, a.sign, e, order)
         j += 1
-    return out
+    return Series._trusted(out)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def rational_series(
     Each denominator factor is a triple (sign, exponent, multiplicity) with
     exponent >= 1 so the constant term stays a unit.
     """
-    out = Series.from_polynomial(numerator, order)
+    out = list(Series.from_polynomial(numerator, order).coeffs)
     for sign, e, mult in denominator_factors:
         if e < 1:
             raise QEngineError("denominator factor exponent must be at least 1")
@@ -142,8 +143,8 @@ def rational_series(
         if mult < 1:
             raise QEngineError("denominator factor multiplicity must be at least 1")
         for _ in range(mult):
-            out = div_one_minus(out, sign, e)
-    return out
+            idiv_one_minus(out, sign, e, order)
+    return Series._trusted(out)
 
 
 # ----------------------------------------------------------------------
@@ -244,40 +245,44 @@ class TermTemplate:
         return self.prefix_slope * n + self.prefix_offset
 
 
-def _rebuild(factors: Sequence[PochFactor], n: int, order: int) -> Series:
+def _rebuild(factors: Sequence[PochFactor], n: int, order: int) -> list[int]:
     """The factor product at n, each factor expanded and multiplied in."""
     product = Series.one(order)
     for f in factors:
         product = product * f.expand(n, order)
-    return product
+    return list(product.coeffs)
 
 
-def _advance(product: Series, factors: Sequence[PochFactor], n: int, order: int) -> Optional[Series]:
-    """The factor product at n + 1 from the one at n, or None where it must be rebuilt.
+def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int) -> bool:
+    """Turn the factor product at n into the one at n + 1, through q^top, in place.
 
     Each factor multiplies in the binomials that join its numerator product
     and divides out those that leave it; a denominator factor does the
-    reverse.  None means some factor's exponent sets are not intervals (see
-    PochFactor.moves) or a binomial to divide out has exponent 0, where it
-    is zero or 2 and so not a unit.
+    reverse.  False means the product must be rebuilt instead, and may have
+    been changed part way: some factor's exponent sets are not intervals
+    (see PochFactor.moves) or a binomial to divide out has exponent 0, where
+    it is zero or 2 and so not a unit.
     """
     for f in factors:
         moves = f.moves(n)
         if moves is None:
-            return None
+            return False
         leaving, joining = moves
         mul, div = (leaving, joining) if f.denominator else (joining, leaving)
         if 0 in div:
-            return None
+            return False
         for e in mul:
-            if e > order:
+            if e > top:
                 break
-            product = product.scale(1 - f.sign) if e == 0 else mul_one_minus(product, f.sign, e)
+            if e == 0:
+                product[: top + 1] = [(1 - f.sign) * c for c in product[: top + 1]]
+            else:
+                imul_one_minus(product, f.sign, e, top)
         for e in div:
-            if e > order:
+            if e > top:
                 break
-            product = div_one_minus(product, f.sign, e)
-    return product
+            idiv_one_minus(product, f.sign, e, top)
+    return True
 
 
 def sum_over_smallest(template: TermTemplate, order: int) -> Series:
@@ -285,29 +290,27 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
 
     The factor product P(n) is carried from one n to the next: P(n+1) is
     P(n) times the binomials that join each factor and divided by those that
-    leave it, a few O(order) `mul_one_minus`/`div_one_minus` calls, so the
+    leave it, a few O(order) `imul_one_minus`/`idiv_one_minus` calls, so the
     sum costs O(order^2).  That holds whenever every factor's exp_slope is a
     multiple of its step, which is the shape of every catalog template.  For
     any other factor, and where a binomial with exponent 0 would have to be
     divided out, P(n+1) is rebuilt from its Pochhammer expansions, at
     O(order^2) per term, which raises the same errors those expansions raise.
-    P(n) is kept only to order - prefix(n), the part that lands within the
-    order once shifted by q^prefix(n).
+    P(n) is one list, kept only through q^(order - prefix(n)), the part
+    that lands within the order once shifted by q^prefix(n).
     """
     total = [0] * (order + 1)
     product = None
     n = 0
     while (shift := template.prefix(n)) <= order:
         top = order - shift
-        if product is not None:
-            product = _advance(product.truncate(top), template.factors, n - 1, top)
-        if product is None:
+        if product is None or not _advance(product, template.factors, n - 1, top):
             product = _rebuild(template.factors, n, top)
         sign = -1 if template.alternating and n % 2 == 1 else 1
-        for i, c in enumerate(product.coeffs):
-            total[shift + i] += sign * c
+        # total[shift:] has top + 1 entries, so map reads product[:top+1] only
+        total[shift:] = map(add if sign == 1 else sub, total[shift:], product)
         n += 1
-    return Series(total)
+    return Series._trusted(total)
 
 
 # ----------------------------------------------------------------------
@@ -331,10 +334,10 @@ def phi21(
 
     The term is carried from one n to the next by its ratio
     (1 - a Q^n)(1 - b Q^n) / ((1 - Q^(n+1))(1 - c Q^n)) * z, one O(order)
-    `mul_one_minus`/`div_one_minus` per factor whose exponent is within the
-    order, so the sum costs O(order^2).  The n-th term is carried without
-    its z^n, to order - n * z's exponent, the part that lands within the
-    order once multiplied by z^n.
+    `imul_one_minus`/`idiv_one_minus` per factor whose exponent is within
+    the order, so the sum costs O(order^2).  The n-th term is one list,
+    carried without its z^n through q^(order - n * z's exponent), the part
+    that lands within the order once multiplied by z^n.
     """
     if z.is_zero or z.exponent < 1:
         raise QEngineError("phi21 needs z = +-q^e with e >= 1 to truncate")
@@ -343,22 +346,24 @@ def phi21(
     if step < 1:
         raise QEngineError("phi21 step must be at least 1")
     total = [0] * (order + 1)
-    term = Series.one(order)
+    term = [1] + [0] * order
     n = 0
     while True:
-        shift, sign = n * z.exponent, z.sign ** n
-        for i, t in enumerate(term.coeffs):
-            total[shift + i] += sign * t
+        shift = n * z.exponent
+        # total[shift:] has order - shift + 1 entries, so map reads no further in term
+        total[shift:] = map(add if z.sign ** n == 1 else sub, total[shift:], term)
         top = order - shift - z.exponent
         if top < 0:
-            return Series(total)
-        term = term.truncate(top)
+            return Series._trusted(total)
         for p in (a, b):
             e = p.exponent + step * n
             if not p.is_zero and e <= top:
-                term = term.scale(1 - p.sign) if e == 0 else mul_one_minus(term, p.sign, e)
+                if e == 0:
+                    term[: top + 1] = [(1 - p.sign) * t for t in term[: top + 1]]
+                else:
+                    imul_one_minus(term, p.sign, e, top)
         if step * (n + 1) <= top:
-            term = div_one_minus(term, 1, step * (n + 1))
+            idiv_one_minus(term, 1, step * (n + 1), top)
         e = c.exponent + step * n
         if not c.is_zero and e <= top:
             if e == 0:
@@ -366,5 +371,5 @@ def phi21(
                     "cannot invert a series with constant coefficient 2; "
                     "only unit constants are invertible over the integers"
                 )
-            term = div_one_minus(term, c.sign, e)
+            idiv_one_minus(term, c.sign, e, top)
         n += 1

@@ -209,10 +209,30 @@ def _rule(node: Recipe) -> _Rule:
 
 
 def _eval_pow(node: Pow, order: int) -> Series:
-    """Binary powering; a base without constant term vanishes past the order."""
+    """node^k by the power recurrence or by binary powering.
+
+    Counted per output coefficient, in digit operations on coefficients
+    about as long as k (fewer than 2^bits(k) digits): the recurrence
+    (``_power_by_recurrence``) multiplies nonzeros(f) of them by a small
+    coefficient of f, 2^bits(k) each, and binary powering makes
+    bits(k) + ones(k) - 2 products of two of them, 3^bits(k) each by
+    Karatsuba.  The recurrence runs when its count is no larger and the
+    base has a nonzero constant term, a unit one when k < 0.  Otherwise a
+    negative k inverts the base first, and a base without constant term
+    vanishes past the order.
+    """
     base = evaluate(node.node, order)
     k = node.k
-    if k < 0:
+    c0 = base.coeffs[0]
+    bits = abs(k).bit_length()
+    products = bits + abs(k).bit_count() - 2
+    nonzeros = len(base.coeffs) - base.coeffs.count(0)
+    recurrence = (
+        c0 != 0
+        and (k >= 0 or c0 in (1, -1))
+        and nonzeros * 2**bits <= products * 3**bits
+    )
+    if k < 0 and not recurrence:
         base, k = base.invert(), -k
     if k > order and base.coeffs[0] == 0:
         return Series.zero(order)
@@ -225,6 +245,8 @@ def _eval_pow(node: Pow, order: int) -> Series:
             f"the constant term {base.coeffs[0]}^{k} has more than {limit} digits, "
             "too many to print"
         )
+    if recurrence:
+        return Series._trusted(_power_by_recurrence(base.coeffs, k))
     out = Series.one(order)
     while k:
         if k & 1:
@@ -233,6 +255,31 @@ def _eval_pow(node: Pow, order: int) -> Series:
         if k:
             base = base * base
     return out
+
+
+def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
+    """The coefficients of g = f^k through the order of f, O(order * nonzeros(f)).
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): f g' = k f' g
+    gives n f0 g_n = sum_{j=1..n} ((k+1) j - n) f_j g_(n-j) for n >= 1,
+    with g_0 = f0^k.  f0 must be nonzero, and +-1 when k < 0, where
+    f0^k = f0^|k|.  Each division is checked: a remainder raises
+    SeriesError instead of being floored away.
+    """
+    f0 = f[0]
+    terms = [(j, (k + 1) * j * c, c) for j, c in enumerate(f) if j and c]
+    g = [0] * len(f)
+    g[0] = f0 ** abs(k)
+    for n in range(1, len(f)):
+        acc = 0
+        for j, a, c in terms:
+            if j > n:
+                break
+            acc += (a - n * c) * g[n - j]
+        g[n], remainder = divmod(acc, n * f0)
+        if remainder:
+            raise SeriesError(f"the power recurrence does not divide exactly at q^{n}")
+    return g
 
 
 def _eval_cubic_progression(node: CubicProgression, order: int) -> Series:

@@ -13,14 +13,23 @@ product is one big-int multiply by Kronecker substitution: both are packed
 into ints, and CPython's Karatsuba multiplies them in about
 O((length * slot bits)^1.585) digit operations.  Otherwise a schoolbook loop
 over the nonzero terms of the sparser operand makes O(nonzeros * length)
-coefficient products; sparse operands (the binomial and step-k Pochhammer
-factors) stay there, as does anything short.  Both paths give the same
+coefficient products; sparse operands (step-k powers and Pochhammer
+products) stay there, as does anything short.  Both paths give the same
 integers.
+
+No product is formed for a single binomial (1 - c*q^e).  The evaluators
+that multiply or divide by one at a time work on a plain list:
+``imul_one_minus`` and ``idiv_one_minus`` update it in place through a top
+index, and the evaluator builds one ``Series`` from it at the end, through
+the private ``Series._trusted``, which skips the per-coefficient ``int``
+coercion of ``Series(...)``.  ``mul_one_minus`` and ``div_one_minus`` are
+the same kernels on a copy of a series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence, Union
 
 
@@ -46,12 +55,23 @@ class Series:
     # constructors
 
     @classmethod
+    def _trusted(cls, coeffs: Sequence[int]) -> "Series":
+        """A series over `coeffs`, which must be a nonempty sequence of ints.
+
+        For coefficients the package computed itself: unlike ``Series(...)``
+        it neither checks the length nor coerces each entry with ``int``.
+        """
+        s = object.__new__(cls)
+        s._coeffs = tuple(coeffs)
+        return s
+
+    @classmethod
     def zero(cls, order: int) -> "Series":
-        return cls([0] * (order + 1))
+        return cls._trusted([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls([1] + [0] * order)
+        return cls._trusted([1] + [0] * order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "Series":
@@ -94,7 +114,7 @@ class Series:
             raise SeriesError("order must be nonnegative")
         if order >= self.order:
             return self
-        return Series(self._coeffs[: order + 1])
+        return Series._trusted(self._coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return not any(self._coeffs)
@@ -107,17 +127,17 @@ class Series:
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        return Series([a[i] + b[i] for i in range(n + 1)])
+        return Series._trusted([a[i] + b[i] for i in range(n + 1)])
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        return Series([a[i] - b[i] for i in range(n + 1)])
+        return Series._trusted([a[i] - b[i] for i in range(n + 1)])
 
     def __neg__(self) -> "Series":
-        return Series([-c for c in self._coeffs])
+        return Series._trusted([-c for c in self._coeffs])
 
     def scale(self, k: int) -> "Series":
         return Series([k * c for c in self._coeffs])
@@ -140,10 +160,10 @@ class Series:
         a = _trimmed(self._coeffs[:size])
         b = a if other is self else _trimmed(other._coeffs[:size])
         if _dense(a) and _dense(b):
-            return Series(_kronecker(a, b, size))
+            return Series._trusted(_kronecker(a, b, size))
         if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
-        return Series(_schoolbook(a, b, size))
+        return Series._trusted(_schoolbook(a, b, size))
 
     def __rmul__(self, other: int) -> "Series":
         if isinstance(other, int):
@@ -159,7 +179,7 @@ class Series:
         for i, c in enumerate(self._coeffs):
             if c and i + exponent <= n:
                 out[i + exponent] = c
-        return Series(out)
+        return Series._trusted(out)
 
     def invert(self) -> "Series":
         """Multiplicative inverse; requires constant coefficient +1 or -1."""
@@ -180,7 +200,7 @@ class Series:
                     break
                 acc += aj * out[m - j]
             out[m] = -c0 * acc
-        return Series(out)
+        return Series._trusted(out)
 
     def substitute_power(self, k: int) -> "Series":
         """Replace q by q^k: the coefficient of q^n moves to q^(k*n)."""
@@ -191,11 +211,11 @@ class Series:
         for i, c in enumerate(self._coeffs):
             if c and i * k <= n:
                 out[i * k] = c
-        return Series(out)
+        return Series._trusted(out)
 
     def negate_variable(self) -> "Series":
         """Replace q by -q: multiply the coefficient of q^n by (-1)^n."""
-        return Series([c if i % 2 == 0 else -c for i, c in enumerate(self._coeffs)])
+        return Series._trusted([c if i % 2 == 0 else -c for i, c in enumerate(self._coeffs)])
 
     # ------------------------------------------------------------------
     # comparison and rendering
@@ -266,27 +286,53 @@ def equal_up_to(a: Series, b: Series, n: int) -> Comparison:
 
 
 # ----------------------------------------------------------------------
-# sparse binomial helpers, used heavily by the product builders
+# sparse binomial kernels, used heavily by the product builders
+
+def _check_binomial(c: int, e: int) -> None:
+    if e < 1:
+        raise SeriesError("binomial factor exponent must be at least 1")
+    if c not in (1, -1):
+        raise SeriesError("binomial factor coefficient must be +1 or -1")
+
+
+def imul_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
+    """coeffs[:top+1] *= (1 - c*q^e) in place, O(top); c is +-1.
+
+    Entries above `top` are left as they are, so a list that is carried
+    at a falling order need not be truncated first.
+    """
+    _check_binomial(c, e)
+    if top >= e:  # else the slice bounds below could count from the end
+        # the right-hand slices are copies, so every entry reads the old values
+        coeffs[e : top + 1] = map(sub if c == 1 else add, coeffs[e : top + 1], coeffs)
+
+
+def idiv_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
+    """coeffs[:top+1] /= (1 - c*q^e) in place, O(top); c is +-1.
+
+    Entries above `top` are left as they are.
+    """
+    _check_binomial(c, e)
+    if c == 1:
+        for i in range(e, top + 1):
+            coeffs[i] += coeffs[i - e]
+    else:
+        for i in range(e, top + 1):
+            coeffs[i] -= coeffs[i - e]
+
 
 def mul_one_minus(s: Series, c: int, e: int) -> Series:
     """s * (1 - c*q^e) in O(order) time; c is +-1."""
-    if e < 1:
-        raise SeriesError("binomial factor exponent must be at least 1")
-    sc = s.coeffs
-    out = list(sc)
-    for i in range(e, len(out)):
-        out[i] -= c * sc[i - e]
-    return Series(out)
+    out = list(s.coeffs)
+    imul_one_minus(out, c, e, s.order)
+    return Series._trusted(out)
 
 
 def div_one_minus(s: Series, c: int, e: int) -> Series:
     """s / (1 - c*q^e) in O(order) time; c is +-1."""
-    if e < 1:
-        raise SeriesError("binomial factor exponent must be at least 1")
     out = list(s.coeffs)
-    for i in range(e, len(out)):
-        out[i] += c * out[i - e]
-    return Series(out)
+    idiv_one_minus(out, c, e, s.order)
+    return Series._trusted(out)
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +345,11 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
 #: its zeros are packed into the big-int multiply too: at order 1200 a dense
 #: 1,208-bit (1-q)^1213 times the step-2 814-bit (1-q^2)^819 takes 0.44 s
 #: that way against 0.31 s in the schoolbook loop, and times the step-3
-#: 1/(1-q^3)^49 0.22 s against 0.10 s.
+#: 1/(1-q^3)^49 0.22 s against 0.10 s.  Splitting the dense operand into its
+#: residue classes mod the step, so that each part is a dense Kronecker
+#: product, measured no clear gain on such products either: at about
+#: 1,000-bit coefficients, Karatsuba on the parts costs about what the loop
+#: does.
 KRONECKER_MIN_TERMS = 16
 
 

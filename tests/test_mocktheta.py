@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qplab.series import Series
@@ -109,3 +111,55 @@ def test_mock_theta_form_validation():
         MockThetaForm("omega", "ady", -1)
     with pytest.raises(QEngineError):
         MockThetaForm("nu", "ady", 1)
+
+
+# ----------------------------------------------------------------------
+# every summation loop, at the smallest orders and one deep one
+
+LOOPS = {
+    "omega": omega,
+    "omega_fine": omega_fine,
+    "omega_ady": omega_ady,
+    "psi": psi,
+    "psi_fine": psi_fine,
+    "nu": lambda n: nu(n, 1),
+    "nu-neg": lambda n: nu(n, -1),
+    "nu_ady": nu_ady,
+}
+
+
+def _oracle(name, n):
+    if name.startswith("omega"):
+        if name == "omega_ady":  # q*omega(q)
+            return [0] + oracles.omega_series(n - 1) if n else [0]
+        return oracles.omega_series(n)
+    if name.startswith("psi"):
+        return oracles.psi_series(n)
+    return oracles.nu_series(n, 1 if name == "nu" else -1)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 57))
+@pytest.mark.parametrize("name", LOOPS)
+def test_loop_matches_oracle(name, n):
+    assert LOOPS[name](n).coeffs == tuple(_oracle(name, n))
+
+
+#: sha256 (first 16 hex digits) of the comma-joined coefficients at order
+#: 300, as the loops gave them when each step built its terms as Series
+#: (the oracles take about 30 s per nu there)
+PINNED_300 = {
+    "omega": "be0dba03db9b0844",
+    "omega_fine": "be0dba03db9b0844",
+    "omega_ady": "f6d594823aefbaf2",
+    "psi": "6b9fae619ccf3c34",
+    "psi_fine": "6b9fae619ccf3c34",
+    "nu": "fe14dd28753de00f",
+    "nu-neg": "592af625b13e761b",
+    "nu_ady": "592af625b13e761b",
+}
+
+
+@pytest.mark.parametrize("name", LOOPS)
+def test_loop_matches_pinned_output_at_order_300(name):
+    text = ",".join(map(str, LOOPS[name](300).coeffs))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_300[name]

@@ -1,10 +1,16 @@
 """The recipe parser: random expressions against a naive expansion, render
-round trips, malformed token strings, and the nesting bound."""
+round trips, malformed token strings, the nesting bound, and the two ways
+of evaluating a power."""
+
+import math
+import sys
 
 import pytest
 
+from qplab import recipes
 from qplab.cli import main
-from qplab.recipes import MAX_DEPTH, ParseError, evaluate, parse, render
+from qplab.recipes import MAX_DEPTH, Add, Monomial, ParseError, Pow, evaluate, parse, render
+from qplab.series import SeriesError
 
 import oracles
 
@@ -113,3 +119,112 @@ def test_nesting_bound():
     with pytest.raises(ParseError, match="nest"):
         parse(_deepest(MAX_DEPTH + 1))
     assert evaluate(parse("-" * 3000 + "q"), 2).coeffs == (0, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# powers: the recurrence for sparse bases, binary powering otherwise
+
+def _polynomial(coeffs):
+    return Add(tuple(Monomial(i, c) for i, c in enumerate(coeffs) if c))
+
+
+def _repeated_product(f, k):
+    """f^k by |k| naive multiplications, of 1/f when k < 0."""
+    base = f if k >= 0 else oracles.p_inv(f)
+    out = oracles.p_one(len(f) - 1)
+    for _ in range(abs(k)):
+        out = oracles.p_mul(out, base)
+    return out
+
+
+@pytest.fixture
+def recurrence_calls(monkeypatch):
+    calls = []
+    inner = recipes._power_by_recurrence
+
+    def counted(f, k):
+        calls.append((f, k))
+        return inner(f, k)
+
+    monkeypatch.setattr(recipes, "_power_by_recurrence", counted)
+    return calls
+
+
+def test_power_matches_repeated_multiplication(rng, recurrence_calls):
+    picked = set()  # the exponents evaluate sent to the recurrence
+    for f0 in (1, -1, 2, -3):
+        for k in range(-12, 13):
+            if k < 0 and f0 not in (1, -1):
+                continue
+            for _ in range(3):
+                order = rng.choice((0, rng.randint(1, 10), rng.randint(11, 40)))
+                f = [f0] + [rng.choice((0, 0, 0, 1, -1, 2, -5)) for _ in range(order)]
+                expected = _repeated_product(f, k)
+                before = len(recurrence_calls)
+                assert list(evaluate(Pow(_polynomial(f), k), order).coeffs) == expected, (f, k)
+                picked.update(k for _, k in recurrence_calls[before:])
+                # the recurrence itself, whichever path the count picked
+                assert recipes._power_by_recurrence(tuple(f), k) == expected, (f, k)
+    assert 0 not in picked and any(k < 0 for k in picked) and any(k > 0 for k in picked)
+
+
+def _binomial_theorem(a, c, e, k, order):
+    """(a + c*q^e)^k through q^order; a = +-1 when k < 0."""
+    out = [0] * (order + 1)
+    for j in range(order // e + 1):
+        if k >= 0:
+            out[j * e] = math.comb(k, j) * a ** (k - j) * c**j if j <= k else 0
+        else:  # (a + x)^k = a^k (1 + a x)^k and (1 + y)^-m = sum C(m+j-1, j) (-y)^j
+            out[j * e] = a ** (-k) * math.comb(-k + j - 1, j) * (-a * c) ** j
+    return out
+
+
+def test_power_of_a_binomial_takes_the_recurrence(recurrence_calls):
+    order = 300
+    cases = (("1-q", 1, -1, 1, 1213), ("1+q^2", 1, 1, 2, 819), ("-1-q^3", -1, -1, 3, -49),
+             ("2-q", 2, -1, 1, 40))
+    for text, a, c, e, k in cases:
+        got = evaluate(Pow(parse(text), k), order).coeffs
+        assert got == tuple(_binomial_theorem(a, c, e, k, order)), text
+    assert len(recurrence_calls) == len(cases)
+
+
+def test_power_at_k_zero_and_order_zero(recurrence_calls):
+    assert evaluate(Pow(parse("3+q"), 0), 5).coeffs == (1, 0, 0, 0, 0, 0)
+    assert evaluate(Pow(parse("-3+q"), 5), 0).coeffs == (-243,)
+    assert evaluate(Pow(parse("-1+q^2"), -7), 0).coeffs == (-1,)
+    assert recipes._power_by_recurrence((-3,), 5) == [-243]
+    assert recipes._power_by_recurrence((2, 5, 1), 0) == [1, 0, 0]
+
+
+def test_power_without_constant_term_uses_binary_powering(recurrence_calls):
+    for k in (1, 2, 3, 7):
+        f = [0, 1, 0, -2, 0, 0]
+        assert list(evaluate(Pow(_polynomial(f), k), 5).coeffs) == _repeated_product(f, k)
+    assert evaluate(Pow(parse("q+q^2"), 9), 5).coeffs == (0,) * 6
+    assert recurrence_calls == []
+
+
+def test_power_recurrence_never_floors():
+    # (2+q)^-1 is not an integer series; the recurrence must say so
+    with pytest.raises(SeriesError, match="divide exactly"):
+        recipes._power_by_recurrence((2, 1, 0, 0), -1)
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("(2+q)^-3", "cannot invert a series with constant coefficient 2; "
+                     "only unit constants are invertible over the integers"),
+        ("q^3/q", "cannot invert a series with constant coefficient 0; "
+                  "only unit constants are invertible over the integers"),
+        ("9^99999", "the constant term 9^99999 has more than {limit} digits, too many to print"),
+    ],
+)
+def test_power_errors_are_unchanged(capsys, expression, message):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if "{limit}" in message and not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    code = main(["coeffs", "--target", "rational:" + expression, "--order", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message.format(limit=limit)}\n")

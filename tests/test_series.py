@@ -213,3 +213,72 @@ def test_mul_fills_the_kronecker_slot(rng, k):
             product = (Series(a) * Series(b)).coeffs
             assert product == tuple(oracles.p_mul(a, b))
             assert abs(product[-1]).bit_length() == k + j + m
+
+
+# ----------------------------------------------------------------------
+# the in-place binomial kernels against the naive oracle
+
+def _binomial_oracle(coeffs, c, e, top, divide):
+    """coeffs[:top+1] times (1 - c*q^e) or its inverse; the rest as it was."""
+    factor = oracles.p_binom(c, e, top)
+    if divide:
+        factor = oracles.p_inv(factor)
+    return oracles.p_mul(list(coeffs[: top + 1]), factor) + list(coeffs[top + 1 :])
+
+
+KERNELS = ((series.imul_one_minus, False), (series.idiv_one_minus, True))
+
+
+@pytest.mark.parametrize("kernel, divide", KERNELS, ids=("mul", "div"))
+def test_binomial_kernel_matches_oracle(rng, kernel, divide):
+    for _ in range(300):
+        length = rng.randint(1, 30)
+        coeffs = [rng.randint(-50, 50) for _ in range(length)]
+        top = rng.randint(0, length - 1)
+        e = rng.choice((1, 2, max(top, 1), top + 1, rng.randint(1, 35)))
+        c = rng.choice((1, -1))
+        got = list(coeffs)
+        kernel(got, c, e, top)
+        assert got == _binomial_oracle(coeffs, c, e, top, divide), (coeffs, c, e, top)
+
+
+@pytest.mark.parametrize("kernel, divide", KERNELS, ids=("mul", "div"))
+def test_binomial_kernel_edges(kernel, divide):
+    coeffs = [3, -1, 4, 1, -5, 9, 2, 6]
+    for c in (1, -1):
+        # e = top: only the entry at top changes, by c * coeffs[0]
+        got = list(coeffs)
+        kernel(got, c, 5, 5)
+        assert got == _binomial_oracle(coeffs, c, 5, 5, divide)
+        assert got[:5] == coeffs[:5] and got[6:] == coeffs[6:] and got[5] != coeffs[5]
+        # e > top, and a top below zero: the list is left untouched
+        for e, top in ((6, 5), (9, 7), (1, 0), (1, -1), (3, -5)):
+            got = list(coeffs)
+            kernel(got, c, e, top)
+            assert got == coeffs, (e, top)
+
+
+def test_binomial_wrappers_match_kernels(rng):
+    for _ in range(100):
+        s = Series([rng.randint(-9, 9) for _ in range(rng.randint(1, 20))])
+        c, e = rng.choice((1, -1)), rng.randint(1, 22)
+        for wrapper, divide in ((series.mul_one_minus, False), (series.div_one_minus, True)):
+            assert wrapper(s, c, e).coeffs == tuple(_binomial_oracle(s.coeffs, c, e, s.order, divide))
+
+
+@pytest.mark.parametrize("function", (series.imul_one_minus, series.idiv_one_minus))
+def test_binomial_kernel_rejects_bad_factors(function):
+    with pytest.raises(SeriesError, match="exponent"):
+        function([1, 2, 3], 1, 0, 2)
+    with pytest.raises(SeriesError, match="coefficient"):
+        function([1, 2, 3], 2, 1, 2)
+    with pytest.raises(SeriesError):
+        series.mul_one_minus(S(1, 2), 1, 0)
+
+
+def test_public_constructor_still_coerces():
+    s = Series([True, 2.0, False])
+    assert s.coeffs == (1, 2, 0) and all(type(c) is int for c in s.coeffs)
+    assert Series._trusted([1, 2, 0]) == s
+    with pytest.raises(SeriesError):
+        Series([])
