@@ -7,7 +7,10 @@ A family is described by a smallest-part anchor plus one rule per
   value first and then filling the four cells in turn;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
-  out the factor that leaves, which scales far beyond listing range;
+  out the factor that leaves, which scales far beyond listing range; the
+  products, like the overpartition and ADY tables at the end, are one
+  integer list updated in place by the binomial kernels of
+  :mod:`qplab.series`;
 * the generating-function templates in :mod:`qplab.family_gf` re-derive the
   same series through the q-engine.
 
@@ -20,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterator, Optional
 
-from .series import Series, div_one_minus, mul_one_minus
+from .series import Series, idiv_one_minus, imul_one_minus
 
 BLUE = "b"
 GREEN = "g"
@@ -272,19 +276,26 @@ def _part_weight(mode: str, color: str, value: int) -> int:
     return 1
 
 
-def _cell_product(spec: FamilySpec, smallest: Optional[int], order: int, mode: str) -> Series:
-    """Product of per-value factors over all four cells, truncated to order."""
-    out = Series.one(order)
+def _part_factor(table: list[int], v: int, w: int, distinct: bool, top: int) -> None:
+    """Multiply table[0..top] in place by (1 + w q^v) if distinct, else by 1/(1 - w q^v).
+
+    The inverse factor is the same call with the other `distinct` and -w.
+    """
+    if distinct:
+        imul_one_minus(table, -w, v, top)
+    else:
+        idiv_one_minus(table, w, v, top)
+
+
+def _cell_product(spec: FamilySpec, smallest: Optional[int], order: int, mode: str) -> list[int]:
+    """Product of per-value factors over all four cells, through q^order."""
+    out = [1] + [0] * order
     for color, parity in _CELLS:
         rule = spec.cell(color, parity)
         if not rule.allowed:
             continue
         for v in range(_cell_start(spec, color, parity, smallest), order + 1, 2):
-            w = _part_weight(mode, color, v)
-            if rule.distinct:
-                out = mul_one_minus(out, -w, v)  # (1 + w q^v)
-            else:
-                out = div_one_minus(out, w, v)  # 1/(1 - w q^v)
+            _part_factor(out, v, _part_weight(mode, color, v), rule.distinct, order)
     return out
 
 
@@ -292,15 +303,17 @@ def _cell_product(spec: FamilySpec, smallest: Optional[int], order: int, mode: s
 def _family_series(spec: FamilySpec, order: int, mode: str) -> Series:
     """Sum over the smallest value s = 1, 3, 5, ... of q^base times the cell product.
 
-    The product for s + 2 is the one for s truncated to its lower order,
-    with the factor of each cell's leaving value start(s) divided out:
-    O(order) per cell and step, O(order^2) in all.
+    The product for s + 2 is the one for s through its lower order, with
+    the factor of each cell's leaving value start(s) divided out: O(order)
+    per cell and step, O(order^2) in all.  The product is one list, kept
+    only through q^(order - base), the part that lands within the order
+    once shifted by q^base.
     """
     if spec.anchor is None:
-        return _cell_product(spec, None, order, mode)
-    anchor_weight = 1
+        return Series._trusted(_cell_product(spec, None, order, mode))
+    accumulate = add
     if mode == WEIGHT_ALL_PARTS and len(spec.anchor.colors) % 2 == 1:
-        anchor_weight = -1
+        accumulate = sub
     total = [0] * (order + 1)
     prod = None
     s = 1
@@ -309,21 +322,15 @@ def _family_series(spec: FamilySpec, order: int, mode: str) -> Series:
         if prod is None:
             prod = _cell_product(spec, s, top, mode)
         else:
-            prod = prod.truncate(top)
             for color, parity in _CELLS:
                 rule = spec.cell(color, parity)
                 v = _cell_start(spec, color, parity, s - 2)
-                if not rule.allowed or v > top:
-                    continue
-                w = _part_weight(mode, color, v)
-                if rule.distinct:
-                    prod = div_one_minus(prod, -w, v)  # undo (1 + w q^v)
-                else:
-                    prod = mul_one_minus(prod, w, v)  # undo 1/(1 - w q^v)
-        for i, c in enumerate(prod.coeffs):
-            total[base + i] += anchor_weight * c
+                if rule.allowed and v <= top:
+                    _part_factor(prod, v, -_part_weight(mode, color, v), not rule.distinct, top)
+        # total[base:] has top + 1 entries, so map reads prod[:top+1] only
+        total[base:] = map(accumulate, total[base:], prod)
         s += 2
-    return Series(total)
+    return Series._trusted(total)
 
 
 def family_series(
@@ -438,9 +445,9 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
 
 
 # ----------------------------------------------------------------------
-# companion counts used by the catalog: O(n^2) tables built with plain
-# integer-list recurrences, independent of the q-engine routes the catalog
-# compares them with
+# companion counts used by the catalog: O(n^2) tables, each one integer list
+# updated in place by the series binomial kernels, independent of the
+# q-engine routes the catalog compares them with
 
 def overpartition_counts(n: int, odd_only: bool = False) -> list[int]:
     """Overpartitions of 0..n, optionally restricted to odd parts.
@@ -452,34 +459,14 @@ def overpartition_counts(n: int, odd_only: bool = False) -> list[int]:
         raise PartitionError("n must be nonnegative")
     table = [1] + [0] * n
     for k in range(1, n + 1, 2 if odd_only else 1):
-        _include_part(table, k, False, n)
-        _include_part(table, k, True, n)
+        idiv_one_minus(table, 1, k, n)
+        imul_one_minus(table, -1, k, n)
     return table
 
 
 def count_overpartitions(n: int, odd_only: bool = False) -> int:
     """Overpartitions of n, optionally restricted to odd parts."""
     return overpartition_counts(n, odd_only)[n]
-
-
-def _include_part(table: list[int], v: int, distinct: bool, top: int) -> None:
-    """Multiply table[0..top] in place by (1 + q^v) if distinct, else by 1/(1 - q^v)."""
-    if distinct:
-        for i in range(top, v - 1, -1):
-            table[i] += table[i - v]
-    else:
-        for i in range(v, top + 1):
-            table[i] += table[i - v]
-
-
-def _exclude_part(table: list[int], v: int, distinct: bool, top: int) -> None:
-    """Undo `_include_part`: divide table[0..top] in place by the same factor."""
-    if distinct:
-        for i in range(v, top + 1):
-            table[i] -= table[i - v]
-    else:
-        for i in range(top, v - 1, -1):
-            table[i] -= table[i - v]
 
 
 def ady_counts(n: int, distinct: bool, allow_zero_part: bool = False) -> list[int]:
@@ -499,17 +486,17 @@ def ady_counts(n: int, distinct: bool, allow_zero_part: bool = False) -> list[in
         raise PartitionError("a zero part is only meaningful for distinct parts")
     parts = [1] + [0] * n
     for v in range(2, n + 1, 2):
-        _include_part(parts, v, distinct, n)
+        _part_factor(parts, v, 1, distinct, n)
     table = list(parts) if allow_zero_part else [0] * (n + 1)
     if not distinct:
-        _include_part(parts, 1, False, n)
+        idiv_one_minus(parts, 1, 1, n)
     for s in range(1, n + 1):
         for m in range(s, n + 1):
             table[m] += parts[m - s]
         # only parts[0..n-s-1] matter from s + 1 on
         top = n - s - 1
-        _exclude_part(parts, s + 1 if distinct else s, distinct, top)
-        _include_part(parts, 2 * s + 1, distinct, top)
+        _part_factor(parts, s + 1 if distinct else s, -1, not distinct, top)
+        _part_factor(parts, 2 * s + 1, 1, distinct, top)
     return table
 
 

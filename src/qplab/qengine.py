@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Optional, Sequence, Union
 
-from .series import Series, SeriesError, idiv_one_minus, imul_one_minus
+from .series import Series, idiv_one_minus, imul_one_minus
 
 
 class QEngineError(ValueError):
@@ -70,16 +70,10 @@ def poch_finite(a: Parameter, step: int, length: int, order: int) -> Series:
     if step < 1:
         raise QEngineError("Pochhammer step must be at least 1")
     out = [1] + [0] * order
-    if a.is_zero or length == 0:
+    if a.is_zero:
         return Series._trusted(out)
-    for j in range(length):
-        e = a.exponent + step * j
-        if e > order:
-            break
-        if e == 0:  # the first factor, so out is still 1
-            out[0] = 1 - a.sign
-        else:
-            imul_one_minus(out, a.sign, e, order)
+    for e in range(a.exponent, min(a.exponent + step * length, order + 1), step):
+        imul_one_minus(out, a.sign, e, order)
     return Series._trusted(out)
 
 
@@ -96,18 +90,8 @@ def poch_infinite(a: Parameter, step: int, order: int) -> Series:
         return Series.one(order)
     if a.exponent == 0 and a.sign == 1:
         raise QEngineError("(q^0; q^k)_inf vanishes; refusing to build it")
-    out = [1] + [0] * order
-    j = 0
-    while True:
-        e = a.exponent + step * j
-        if e > order:
-            break
-        if e == 0:  # the first factor, so out is still 1
-            out[0] = 2
-        else:
-            imul_one_minus(out, a.sign, e, order)
-        j += 1
-    return Series._trusted(out)
+    within = max(0, (order - a.exponent) // step + 1)
+    return poch_finite(a, step, within, order)
 
 
 @dataclass(frozen=True)
@@ -274,10 +258,7 @@ def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int
         for e in mul:
             if e > top:
                 break
-            if e == 0:
-                product[: top + 1] = [(1 - f.sign) * c for c in product[: top + 1]]
-            else:
-                imul_one_minus(product, f.sign, e, top)
+            imul_one_minus(product, f.sign, e, top)
         for e in div:
             if e > top:
                 break
@@ -358,18 +339,10 @@ def phi21(
         for p in (a, b):
             e = p.exponent + step * n
             if not p.is_zero and e <= top:
-                if e == 0:
-                    term[: top + 1] = [(1 - p.sign) * t for t in term[: top + 1]]
-                else:
-                    imul_one_minus(term, p.sign, e, top)
+                imul_one_minus(term, p.sign, e, top)
         if step * (n + 1) <= top:
             idiv_one_minus(term, 1, step * (n + 1), top)
         e = c.exponent + step * n
         if not c.is_zero and e <= top:
-            if e == 0:
-                raise SeriesError(
-                    "cannot invert a series with constant coefficient 2; "
-                    "only unit constants are invertible over the integers"
-                )
             idiv_one_minus(term, c.sign, e, top)
         n += 1

@@ -17,13 +17,16 @@ coefficient products; sparse operands (step-k powers and Pochhammer
 products) stay there, as does anything short.  Both paths give the same
 integers.
 
-No product is formed for a single binomial (1 - c*q^e).  The evaluators
-that multiply or divide by one at a time work on a plain list:
-``imul_one_minus`` and ``idiv_one_minus`` update it in place through a top
-index, and the evaluator builds one ``Series`` from it at the end, through
-the private ``Series._trusted``, which skips the per-coefficient ``int``
-coercion of ``Series(...)``.  ``mul_one_minus`` and ``div_one_minus`` are
-the same kernels on a copy of a series.
+No product is formed for a single binomial (1 - c*q^e).  Every evaluator
+that multiplies or divides by one at a time, in ``qengine``, ``mocktheta``
+and ``partitions``, works on a plain list: ``imul_one_minus`` and
+``idiv_one_minus`` update it in place through a top index, and the evaluator
+builds one ``Series`` from it at the end, through the private
+``Series._trusted``, which skips the per-coefficient ``int`` coercion of
+``Series(...)``.  The kernels also take e = 0, where the factor is the
+constant 1 - c.  ``mul_one_minus`` and ``div_one_minus`` are the same
+kernels on a copy of a series; nothing in the package calls them, and they
+are kept for outside callers.
 """
 
 from __future__ import annotations
@@ -185,10 +188,7 @@ class Series:
         """Multiplicative inverse; requires constant coefficient +1 or -1."""
         c0 = self._coeffs[0]
         if c0 not in (1, -1):
-            raise SeriesError(
-                f"cannot invert a series with constant coefficient {c0}; "
-                "only unit constants are invertible over the integers"
-            )
+            raise _non_unit(c0)
         n = self.order
         nz = [(j, c) for j, c in enumerate(self._coeffs) if j and c]
         out = [0] * (n + 1)
@@ -288,9 +288,17 @@ def equal_up_to(a: Series, b: Series, n: int) -> Comparison:
 # ----------------------------------------------------------------------
 # sparse binomial kernels, used heavily by the product builders
 
+def _non_unit(c0: int) -> SeriesError:
+    """The error for dividing by a series whose constant term c0 is not +-1."""
+    return SeriesError(
+        f"cannot invert a series with constant coefficient {c0}; "
+        "only unit constants are invertible over the integers"
+    )
+
+
 def _check_binomial(c: int, e: int) -> None:
-    if e < 1:
-        raise SeriesError("binomial factor exponent must be at least 1")
+    if e < 0:
+        raise SeriesError("binomial factor exponent must be nonnegative")
     if c not in (1, -1):
         raise SeriesError("binomial factor coefficient must be +1 or -1")
 
@@ -299,7 +307,9 @@ def imul_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
     """coeffs[:top+1] *= (1 - c*q^e) in place, O(top); c is +-1.
 
     Entries above `top` are left as they are, so a list that is carried
-    at a falling order need not be truncated first.
+    at a falling order need not be truncated first.  At e = 0 the factor
+    is the constant 1 - c: the entries through `top` become zero (c = 1)
+    or double (c = -1).
     """
     _check_binomial(c, e)
     if top >= e:  # else the slice bounds below could count from the end
@@ -310,9 +320,13 @@ def imul_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
 def idiv_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
     """coeffs[:top+1] /= (1 - c*q^e) in place, O(top); c is +-1.
 
-    Entries above `top` are left as they are.
+    Entries above `top` are left as they are.  At e = 0 the factor is the
+    constant 0 or 2, which is not a unit, and SeriesError is raised as
+    ``Series.invert`` raises it.
     """
     _check_binomial(c, e)
+    if e == 0:
+        raise _non_unit(1 - c)
     if c == 1:
         for i in range(e, top + 1):
             coeffs[i] += coeffs[i - e]

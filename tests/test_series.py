@@ -235,7 +235,8 @@ def test_binomial_kernel_matches_oracle(rng, kernel, divide):
         length = rng.randint(1, 30)
         coeffs = [rng.randint(-50, 50) for _ in range(length)]
         top = rng.randint(0, length - 1)
-        e = rng.choice((1, 2, max(top, 1), top + 1, rng.randint(1, 35)))
+        lowest = 1 if divide else 0  # at e = 0 only the multiply has a result
+        e = rng.choice((lowest, 1, 2, max(top, 1), top + 1, rng.randint(lowest, 35)))
         c = rng.choice((1, -1))
         got = list(coeffs)
         kernel(got, c, e, top)
@@ -269,11 +270,24 @@ def test_binomial_wrappers_match_kernels(rng):
 @pytest.mark.parametrize("function", (series.imul_one_minus, series.idiv_one_minus))
 def test_binomial_kernel_rejects_bad_factors(function):
     with pytest.raises(SeriesError, match="exponent"):
-        function([1, 2, 3], 1, 0, 2)
+        function([1, 2, 3], 1, -1, 2)
     with pytest.raises(SeriesError, match="coefficient"):
         function([1, 2, 3], 2, 1, 2)
-    with pytest.raises(SeriesError):
-        series.mul_one_minus(S(1, 2), 1, 0)
+    with pytest.raises(SeriesError, match="exponent"):
+        series.mul_one_minus(S(1, 2), 1, -1)
+    # at e = 0 the factor is the constant 1 - c: zero (c = 1) or 2 (c = -1)
+    for c, constant in ((1, 0), (-1, 2)):
+        got = [1, 2, 3]
+        if function is series.imul_one_minus:
+            function(got, c, 0, 1)
+            assert got == [constant, 2 * constant, 3]
+            continue
+        with pytest.raises(SeriesError) as inverted:
+            S(constant, 1).invert()
+        with pytest.raises(SeriesError, match=f"constant coefficient {constant}") as divided:
+            function(got, c, 0, 1)
+        assert str(divided.value) == str(inverted.value)
+        assert got == [1, 2, 3]
 
 
 def test_public_constructor_still_coerces():
