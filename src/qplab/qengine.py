@@ -65,16 +65,7 @@ def poch_finite(a: Parameter, step: int, length: int, order: int) -> Series:
     vanish, so the whole product is the zero series for length >= 1; -q^0
     contributes a constant factor 2.
     """
-    if length < 0:
-        raise QEngineError("Pochhammer length must be nonnegative")
-    if step < 1:
-        raise QEngineError("Pochhammer step must be at least 1")
-    out = [1] + [0] * order
-    if a.is_zero:
-        return Series._trusted(out)
-    for e in range(a.exponent, min(a.exponent + step * length, order + 1), step):
-        imul_one_minus(out, a.sign, e, order)
-    return Series._trusted(out)
+    return _expand(Poch(a, step, length), order)
 
 
 def poch_infinite(a: Parameter, step: int, order: int) -> Series:
@@ -84,23 +75,47 @@ def poch_infinite(a: Parameter, step: int, order: int) -> Series:
     congruent to 1 and are skipped.  The argument +q^0 is rejected: its first
     factor is identically zero, which annihilates the product.
     """
+    return _expand(Poch(a, step), order)
+
+
+def _exponents(sign: int, exponent: int, step: int, length: Optional[int], top: int) -> range:
+    """Poch.exponents of sign*q^exponent (sign 0: zero), for callers that step too often to build a Poch."""
+    if length is not None and length < 0:
+        raise QEngineError("Pochhammer length must be nonnegative")
     if step < 1:
         raise QEngineError("Pochhammer step must be at least 1")
-    if a.is_zero:
-        return Series.one(order)
-    if a.exponent == 0 and a.sign == 1:
+    if sign == 0:
+        return range(0)
+    stop = top + 1
+    if length is not None:
+        stop = min(exponent + step * length, stop)
+    elif exponent == 0 and sign == 1:
         raise QEngineError("(q^0; q^k)_inf vanishes; refusing to build it")
-    within = max(0, (order - a.exponent) // step + 1)
-    return poch_finite(a, step, within, order)
+    return range(exponent, stop, step)
+
+
+def _expand(poch: Poch, order: int) -> Series:
+    out = [1] + [0] * order
+    for e in poch.exponents(order):
+        imul_one_minus(out, poch.a.sign, e, order)
+    return Series._trusted(out)
 
 
 @dataclass(frozen=True)
 class Poch:
-    """The Pochhammer product (a; q^step)_length; length None means infinite."""
+    """The Pochhammer product (a; q^step)_length (None: infinite) over `exponents`."""
 
     a: Parameter
     step: int
     length: Optional[int] = None
+
+    def exponents(self, top: int) -> range:
+        """The exponents e <= top of the binomials (1 - a.sign*q^e) whose product this is.
+
+        The zero parameter gives the empty range.  Raises QEngineError for a
+        negative length, a step below 1 and the infinite product at +q^0.
+        """
+        return _exponents(self.a.sign, self.a.exponent, self.step, self.length, top)
 
     def series(self, order: int) -> Series:
         if self.length is None:
@@ -176,34 +191,28 @@ class PochFactor:
             self.length, self.length
         )
 
-    def expand(self, n: int, order: int) -> Series:
+    def exponents(self, n: int, top: int) -> range:
+        """The exponents e <= top of this factor's binomials (1 - sign*q^e) at index n."""
         e = self.exp_slope * n + self.exp_offset
         if e < 0:
             raise QEngineError("factor exponent became negative")
-        s = Poch(Parameter.monomial(e, self.sign), self.step, self._length(n)).series(order)
-        return s.invert() if self.denominator else s
+        return _exponents(self.sign, e, self.step, self._length(n), top)
 
-    def moves(self, n: int) -> Optional[tuple[range, range]]:
-        """Exponents of the binomials (1 - sign*q^e) that leave and join the product from n to n+1.
+    def moves(self, n: int, top: int) -> tuple[range, range]:
+        """Exponents e <= top of the binomials that leave and join the product from n to n+1.
 
-        With slope = k*step the binomial exponents at n are exp_offset +
-        step*m for m in [k*n, k*n + length), an interval, so going to n + 1
-        drops the head of that interval and appends to its tail: two ranges
-        of at most k and k + 1 exponents, in increasing order.  For any other
-        slope the two exponent sets interleave and None is returned.
+        With slope = k*step both exponent sets are runs of one residue
+        class mod step, the one at n + 1 starting no lower and ending no
+        lower, so going to n + 1 drops a head of the run at n and appends a
+        tail.  For any other slope the two sets lie in different residue
+        classes, so all of the set at n leaves and all of the one at n + 1
+        joins.  Either range is in increasing order.
         """
+        now, after = self.exponents(n, top), self.exponents(n + 1, top)
         if self.exp_slope % self.step:
-            return None
-        k = self.exp_slope // self.step
-        lo, lo_next = k * n, k * (n + 1)
-        length, length_next = self._length(n), self._length(n + 1)
-        off, step = self.exp_offset, self.step
-        if length is None:
-            return range(off + step * lo, off + step * lo_next, step), range(0)
-        hi, hi_next = lo + length, lo_next + length_next
-        leaving = range(off + step * lo, off + step * min(hi, lo_next), step)
-        joining = range(off + step * max(hi, lo_next), off + step * hi_next, step)
-        return leaving, joining
+            return now, after
+        leaving = range(now.start, min(now.stop, after.start), self.step)
+        return leaving, after[len(now) - len(leaving) :]
 
 
 @dataclass(frozen=True)
@@ -229,39 +238,33 @@ class TermTemplate:
         return self.prefix_slope * n + self.prefix_offset
 
 
-def _rebuild(factors: Sequence[PochFactor], n: int, order: int) -> list[int]:
-    """The factor product at n, each factor expanded and multiplied in."""
-    product = Series.one(order)
+def _rebuild(factors: Sequence[PochFactor], n: int, top: int) -> list[int]:
+    """The factor product at n through q^top, one binomial at a time."""
+    product = [1] + [0] * top
     for f in factors:
-        product = product * f.expand(n, order)
-    return list(product.coeffs)
+        kernel = idiv_one_minus if f.denominator else imul_one_minus
+        for e in f.exponents(n, top):
+            kernel(product, f.sign, e, top)
+    return product
 
 
 def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int) -> bool:
     """Turn the factor product at n into the one at n + 1, through q^top, in place.
 
     Each factor multiplies in the binomials that join its numerator product
-    and divides out those that leave it; a denominator factor does the
-    reverse.  False means the product must be rebuilt instead, and may have
-    been changed part way: some factor's exponent sets are not intervals
-    (see PochFactor.moves) or a binomial to divide out has exponent 0, where
-    it is zero or 2 and so not a unit.
+    and divides out those that leave it (see PochFactor.moves); a
+    denominator factor does the reverse.  False means the product must be
+    rebuilt instead, and may have been changed part way: a binomial to
+    divide out has exponent 0, where it is zero or 2 and so not a unit.
     """
     for f in factors:
-        moves = f.moves(n)
-        if moves is None:
-            return False
-        leaving, joining = moves
+        leaving, joining = f.moves(n, top)
         mul, div = (leaving, joining) if f.denominator else (joining, leaving)
         if 0 in div:
             return False
         for e in mul:
-            if e > top:
-                break
             imul_one_minus(product, f.sign, e, top)
         for e in div:
-            if e > top:
-                break
             idiv_one_minus(product, f.sign, e, top)
     return True
 
@@ -269,14 +272,15 @@ def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int
 def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     """Evaluate a smallest-part sum; stops once the prefix passes the order.
 
-    The factor product P(n) is carried from one n to the next: P(n+1) is
-    P(n) times the binomials that join each factor and divided by those that
-    leave it, a few O(order) `imul_one_minus`/`idiv_one_minus` calls, so the
-    sum costs O(order^2).  That holds whenever every factor's exp_slope is a
-    multiple of its step, which is the shape of every catalog template.  For
-    any other factor, and where a binomial with exponent 0 would have to be
-    divided out, P(n+1) is rebuilt from its Pochhammer expansions, at
-    O(order^2) per term, which raises the same errors those expansions raise.
+    The factor product P(n) is built at n = 0 from each factor's binomials
+    and then carried from one n to the next: P(n+1) is P(n) times the
+    binomials that join each factor and divided by those that leave it
+    (PochFactor.moves), one O(order) kernel call each.  When every factor's
+    exp_slope is a multiple of its step, the shape of every catalog
+    template, only a few binomials move per step and the sum costs
+    O(order^2); any other factor swaps all of its binomials at each step.
+    Where a binomial with exponent 0 would have to be divided out, P(n+1)
+    is rebuilt instead, which raises the kernels' non-unit error.
     P(n) is one list, kept only through q^(order - prefix(n)), the part
     that lands within the order once shifted by q^prefix(n).
     """

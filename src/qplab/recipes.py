@@ -179,6 +179,8 @@ _FORMULAS = {
 
 def evaluate(node: Recipe, order: int) -> Series:
     """Evaluate a recipe tree to a series of the given order."""
+    if order < 0:
+        raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
     return _rule(node).evaluate(node, order)
 
 

@@ -111,14 +111,6 @@ class Series:
             )
         return self._coeffs[n]
 
-    def truncate(self, order: int) -> "Series":
-        """Drop knowledge beyond `order` (never extends)."""
-        if order < 0:
-            raise SeriesError("order must be nonnegative")
-        if order >= self.order:
-            return self
-        return Series._trusted(self._coeffs[: order + 1])
-
     def is_zero(self) -> bool:
         return not any(self._coeffs)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from qplab.recipes import evaluate
 from qplab.series import Series, SeriesError
 from qplab.qengine import (
     LENGTH_INF,
@@ -305,13 +306,29 @@ def test_sum_over_smallest_matches_term_rebuilding_oracle(rng):
 
 def test_poch_factor_moves():
     # (q^(2n+1); q^2)_inf: q^(2n+1) leaves, nothing joins
-    assert PochFactor(1, 2, 1, 2, LENGTH_INF).moves(3) == (range(7, 9, 2), range(0))
+    assert PochFactor(1, 2, 1, 2, LENGTH_INF).moves(3, 100) == (range(7, 9, 2), range(0))
     # (q^(n+2); q)_(n+1) at n=3 is q^5..q^8, at n=4 it is q^6..q^10
-    assert PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1).moves(3) == (range(5, 6), range(9, 11))
+    assert PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1).moves(3, 100) == (range(5, 6), range(9, 11))
+    # ... and through q^9 only q^9 joins
+    assert PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1).moves(3, 9) == (range(5, 6), range(9, 10))
     # a fixed-slope finite product only grows
-    assert PochFactor(-1, 0, 2, 2, LENGTH_N).moves(2) == (range(2, 2, 2), range(6, 8, 2))
-    # exponent sets of slope 1, step 2 interleave: no interval update
-    assert PochFactor(1, 1, 1, 2, LENGTH_INF).moves(0) is None
+    assert PochFactor(-1, 0, 2, 2, LENGTH_N).moves(2, 100) == (range(2, 2, 2), range(6, 8, 2))
+    # exponent sets of slope 1, step 2 are odd at n=0 and even at n=1: all swap
+    assert PochFactor(1, 1, 1, 2, LENGTH_INF).moves(0, 100) == (range(1, 101, 2), range(2, 101, 2))
+
+
+def test_template_and_poch_refusals():
+    negative = TermTemplate(1, 0, (PochFactor(1, 1, -1, 1, LENGTH_N),))
+    with pytest.raises(QEngineError, match="^factor exponent became negative$"):
+        sum_over_smallest(negative, 5)
+    for denominator in (False, True):
+        vanishing = TermTemplate(1, 0, (PochFactor(1, 0, 0, 1, LENGTH_INF, denominator),))
+        with pytest.raises(QEngineError, match=r"^\(q\^0; q\^k\)_inf vanishes; refusing to build it$"):
+            sum_over_smallest(vanishing, 5)
+    with pytest.raises(QEngineError, match="^Pochhammer step must be at least 1$"):
+        evaluate(Poch(q(1), 0), 5)
+    with pytest.raises(QEngineError, match="^Pochhammer length must be nonnegative$"):
+        evaluate(Poch(q(1), 1, -1), 5)
 
 
 def test_phi21_minus_one_c_raises_once_n_equals_one_is_in_range():

@@ -9,7 +9,20 @@ import pytest
 
 from qplab import recipes
 from qplab.cli import main
-from qplab.recipes import MAX_DEPTH, Add, Monomial, ParseError, Pow, evaluate, parse, render
+from qplab.mocktheta import MockThetaForm
+from qplab.qengine import LENGTH_INF, Parameter, Poch, PochFactor, TermTemplate
+from qplab.recipes import (
+    MAX_DEPTH,
+    Add,
+    FamilyGF,
+    Monomial,
+    ParseError,
+    Phi21,
+    Pow,
+    evaluate,
+    parse,
+    render,
+)
 from qplab.series import SeriesError
 
 import oracles
@@ -228,3 +241,23 @@ def test_power_errors_are_unchanged(capsys, expression, message):
     code = main(["coeffs", "--target", "rational:" + expression, "--order", "3"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message.format(limit=limit)}\n")
+
+
+_Q = Parameter.monomial(1)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        MockThetaForm("omega"),
+        FamilyGF("A"),
+        Phi21(_Q, _Q, Parameter.zero(), 1, _Q),
+        Poch(_Q, 1),
+        TermTemplate(1, 0, (PochFactor(1, 1, 1, 1, LENGTH_INF),)),
+        parse("1/(1-q)"),
+    ],
+    ids=["mock-theta", "family-gf", "phi21", "poch", "template", "parsed"],
+)
+def test_negative_order_is_refused(node):
+    with pytest.raises(SeriesError, match=r"^cannot evaluate through q\^-1: the order must be nonnegative$"):
+        evaluate(node, -1)
