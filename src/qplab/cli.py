@@ -38,6 +38,10 @@ def _capped(order: int) -> int:
     return order if cap is None else min(order, cap)
 
 
+def _too_large(order: int) -> str:
+    return f"error: order {order} is too large to evaluate in memory"
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -72,14 +76,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: --order must be at least 1", file=sys.stderr)
         return 2
     order = None if args.order is None else _capped(args.order)
-    if args.id is not None:
-        try:
+    try:
+        if args.id is not None:
             reports = [registry.verify(args.id, order)]
-        except registry.RegistryError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-    else:
-        reports = registry.verify_all(order)
+        else:
+            reports = registry.verify_all(order)
+    except registry.RegistryError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        print(_too_large(order), file=sys.stderr)
+        return 2
 
     if args.json:
         docs = [r.to_json_dict() for r in reports]
@@ -138,6 +145,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         series = recipes.evaluate(_coeff_target(args.target), order)
     except (KeyError, recipes.ParseError, SeriesError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError):
+        print(_too_large(order), file=sys.stderr)
         return 2
     try:
         coeffs = [str(c) for c in series.coeffs]

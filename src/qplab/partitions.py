@@ -4,7 +4,8 @@ A family is described by a smallest-part anchor plus one rule per
 (color, parity) cell.  Three independent computations hang off that data:
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
-  value first and then filling the four cells in turn;
+  value first and then one increasing run of the allowed (value, color)
+  slots, each taken with a copy count;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
   out the factor that leaves, which scales far beyond listing range; the
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
-from typing import Iterator, Optional
+from typing import Optional
 
 from .series import Series, idiv_one_minus, imul_one_minus
 
@@ -385,61 +386,47 @@ def statistic_counts(
 # ----------------------------------------------------------------------
 # explicit enumeration
 
-def _cell_selections(min_value: int, budget: int, distinct: bool) -> Iterator[list[int]]:
-    """All value multisets (ascending) of one cell with sum <= budget."""
-
-    def rec(v: int, rem: int) -> Iterator[list[int]]:
-        yield []
-        vv = v
-        while vv <= rem:
-            max_count = 1 if distinct else rem // vv
-            for count in range(1, max_count + 1):
-                for rest in rec(vv + 2, rem - count * vv):
-                    yield [vv] * count + rest
-            vv += 2
-
-    yield from rec(min_value, budget)
-
-
-def _assign_cells(spec: FamilySpec, smallest: Optional[int], total: int) -> Iterator[list[ColoredPart]]:
-    def rec(idx: int, remaining: int) -> Iterator[list[ColoredPart]]:
-        if idx == len(_CELLS):
-            if remaining == 0:
-                yield []
-            return
-        color, parity = _CELLS[idx]
-        rule = spec.cell(color, parity)
-        if not rule.allowed:
-            yield from rec(idx + 1, remaining)
-            return
-        start = _cell_start(spec, color, parity, smallest)
-        for values in _cell_selections(start, remaining, rule.distinct):
-            used = sum(values)
-            for rest in rec(idx + 1, remaining - used):
-                yield [ColoredPart(v, color) for v in values] + rest
-
-    yield from rec(0, total)
-
-
 def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     """Every family partition of n exactly once, in canonical order.
 
-    Chooses the smallest value first (when the family anchors one), then
-    assigns the remaining weight to the four cells.
+    For each smallest value s (a single pass with s = None when the family
+    anchors none) the anchor parts go on one shared stack and the allowed
+    cells become one row of slots (value, color, distinct) sorted by value.
+    One recursion then takes an increasing run of slots, each with a copy
+    count, pushing the copies before it descends and popping them after.
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
     found: list[TwoColorPartition] = []
-    if spec.anchor is None:
-        found.extend(TwoColorPartition(parts) for parts in _assign_cells(spec, None, n))
-    else:
-        for s in range(1, n + 1, 2):
-            anchor_parts = [ColoredPart(s, color) for color in spec.anchor.colors]
-            remaining = n - s * len(spec.anchor.colors)
-            if remaining < 0:
+    stack: list[tuple[int, str]] = []
+
+    def pick(slots: list[tuple[int, str, bool]], i: int, rem: int) -> None:
+        if rem == 0:
+            found.append(TwoColorPartition([ColoredPart(v, c) for v, c in stack]))
+            return
+        for j in range(i, len(slots)):
+            v, color, distinct = slots[j]
+            if v > rem:
                 break
-            for parts in _assign_cells(spec, s, remaining):
-                found.append(TwoColorPartition(anchor_parts + parts))
+            for k in range(1, 2 if distinct else rem // v + 1):
+                stack.append((v, color))
+                pick(slots, j + 1, rem - k * v)
+            del stack[len(stack) - k:]
+
+    smallest_values = [None] if spec.anchor is None else range(1, n + 1, 2)
+    for s in smallest_values:
+        anchor_colors = () if s is None else spec.anchor.colors
+        remaining = n - (s or 0) * len(anchor_colors)
+        if remaining < 0:
+            break
+        stack[:] = [(s, color) for color in anchor_colors]
+        slots = sorted(
+            (v, color, spec.cell(color, parity).distinct)
+            for color, parity in _CELLS
+            if spec.cell(color, parity).allowed
+            for v in range(_cell_start(spec, color, parity, s), remaining + 1, 2)
+        )
+        pick(slots, 0, remaining)
     found.sort(key=TwoColorPartition.sort_key)
     return found
 

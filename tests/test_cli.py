@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -204,6 +205,25 @@ def test_coeffs_bad_rational_exits_two(capsys, expression):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("order", [10**15, 10**19])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coeffs", "--target", "theta"),
+        ("verify", "--id", "thm-2.4-psi"),
+        ("verify", "--all"),
+    ],
+    ids=["coeffs", "verify-id", "verify-all"],
+)
+def test_order_too_large_for_memory_exits_two(capsys, argv, order):
+    # 8 * 10^15 bytes of coefficients exceed the address space, so the
+    # evaluation fails at its first allocation
+    code, out, err = run(capsys, *argv, "--order", str(order))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: order {order} is too large to evaluate in memory"]
+
+
 def test_coeffs_huge_power_is_fast(capsys):
     k = 99999999
     start = time.perf_counter()
@@ -287,6 +307,27 @@ def test_enum_listing_matches_worked_example(capsys):
         "3g+1g",
         "2b+1b+1g",
     ]
+
+
+# sha256 of the whole `enum --family <F> --n 14 --list` output: pins the
+# listing's content and its canonical order
+PINNED_LISTING_14 = {
+    "E": "97d5f402a0e71161",
+    "F": "6317ebb210542767",
+    "Tomega": "943149f5d2578287",
+    "Tpsi": "272a9c7b589cade7",
+    "Tnu": "032f380f7e1d38a8",
+    "A": "385e6f8bd08332ab",
+    "B": "303b4732f181c8b3",
+    "C": "37967dba5a178b45",
+}
+
+
+@pytest.mark.parametrize("family", PINNED_LISTING_14)
+def test_enum_listing_matches_pinned_output_at_n_14(capsys, family):
+    code, out, _ = run(capsys, "enum", "--family", family, "--n", "14", "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_LISTING_14[family]
 
 
 def test_enum_anchored_family_at_zero(capsys):

@@ -45,6 +45,16 @@ def test_counts_match_enumeration_weights(name):
             assert total == P.count_family(spec, n, use_weight=use_weight)
 
 
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_enumeration_matches_generating_function_beyond_the_oracle(name):
+    spec = P.FAMILIES[name]
+    for n in (17, 18):
+        members = P.enumerate_family(spec, n)
+        assert len(members) == family_gf_series(name, False, n).coeff(n)
+        signed = sum(P.partition_weight(tc, spec.weight) for tc in members)
+        assert signed == family_gf_series(name, True, n).coeff(n)
+
+
 def test_enumeration_no_duplicates_and_sorted():
     spec = P.FAMILIES["A"]
     members = P.enumerate_family(spec, 9)
