@@ -2,7 +2,7 @@
 exploration and machine-readable exports.
 
 Exit status contract: 0 when everything requested passes, 1 when at least
-one identity mismatches, 2 for usage errors.  The environment variable
+one report's verdict is FAIL, 2 for usage errors.  The environment variable
 QPLAB_MAX_ORDER caps every requested order and enumeration depth.
 """
 
@@ -45,30 +45,16 @@ def _too_large(order: int) -> str:
 # ----------------------------------------------------------------------
 # verify
 
-def _format_report(report: registry.IdentityReport, expected_mismatch: bool) -> str:
-    label, detail = "PASS", ""
-    if report.status == registry.STATUS_MISMATCH:
-        m = report.mismatch
-        label = "XFAIL" if expected_mismatch else "FAIL"
+def _format_report(report: registry.IdentityReport) -> str:
+    verdict, detail, m = report.verdict, "", report.mismatch
+    if m is not None:
         detail = f"  mismatch at n={m.index}: lhs={m.lhs} rhs={m.rhs}"
-        if expected_mismatch:
+        if verdict == "XFAIL":
             detail += " (expected)"
     return (
-        f"{label:<6} {report.id:<34} order={report.order_checked:<4}"
+        f"{verdict:<6} {report.id:<34} order={report.order_checked:<4}"
         f" {report.elapsed_ms:>5}ms{detail}"
     )
-
-
-def _verify_exit_code(reports: Sequence[registry.IdentityReport]) -> int:
-    failed = False
-    for r in reports:
-        if r.id == registry.NEGATIVE_CONTROL_ID:
-            if registry.control_misbehaved(r):
-                failed = True
-            continue
-        if r.status != registry.STATUS_PASS:
-            failed = True
-    return 1 if failed else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -88,25 +74,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(_too_large(order), file=sys.stderr)
         return 2
 
+    verdicts = [r.verdict for r in reports]
     if args.json:
         docs = [r.to_json_dict() for r in reports]
         print(json.dumps(docs[0] if args.id is not None else docs, indent=2))
     else:
-        counts = {"pass": 0, "fail": 0, "xfail": 0}
         for r in reports:
-            expected = r.id == registry.NEGATIVE_CONTROL_ID and not registry.control_misbehaved(r)
-            print(_format_report(r, expected_mismatch=expected))
-            if r.status == registry.STATUS_PASS:
-                counts["pass"] += 1
-            elif expected:
-                counts["xfail"] += 1
-            else:
-                counts["fail"] += 1
-        summary = f"{counts['pass']} passed, {counts['fail']} failed"
-        if counts["xfail"]:
-            summary += f", {counts['xfail']} expected mismatch (negative control)"
+            print(_format_report(r))
+        summary = f"{verdicts.count('PASS')} passed, {verdicts.count('FAIL')} failed"
+        if "XFAIL" in verdicts:
+            summary += f", {verdicts.count('XFAIL')} expected mismatch (negative control)"
         print(summary)
-    return _verify_exit_code(reports)
+    return 1 if "FAIL" in verdicts else 0
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .series import equal_up_to
+from .series import Comparison, equal_up_to
 from .qengine import (
     LENGTH_INF,
     LENGTH_N,
@@ -82,20 +82,30 @@ class IdentityCase:
 
 
 @dataclass(frozen=True)
-class Mismatch:
-    index: int
-    lhs: int
-    rhs: int
-
-
-@dataclass(frozen=True)
 class IdentityReport:
     id: str
     order_checked: int
-    status: str
-    mismatch: Optional[Mismatch] = None
+    mismatch: Optional[Comparison] = None
     notes: str = ""
     elapsed_ms: int = 0
+
+    @property
+    def status(self) -> str:
+        return STATUS_PASS if self.mismatch is None else STATUS_MISMATCH
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL or XFAIL (the negative control's expected mismatch).
+
+        Through order 1 both sides of the negative control agree, so a pass
+        there is fine; from order 2 on, a pass means the comparison
+        machinery has stopped working, and the control fails.
+        """
+        if self.id != NEGATIVE_CONTROL_ID:
+            return "PASS" if self.mismatch is None else "FAIL"
+        if self.mismatch is not None:
+            return "XFAIL"
+        return "PASS" if self.order_checked < 2 else "FAIL"
 
     def to_json_dict(self) -> dict:
         """The wire format; coefficients render as decimal strings."""
@@ -772,16 +782,7 @@ def _run_case(case: IdentityCase, order: int, clamp_note: str) -> IdentityReport
     rhs = evaluate(case.rhs, order)
     cmp = equal_up_to(lhs, rhs, order)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    if cmp.equal:
-        return IdentityReport(case.id, order, STATUS_PASS, None, notes, elapsed_ms)
-    return IdentityReport(
-        case.id,
-        order,
-        STATUS_MISMATCH,
-        Mismatch(cmp.index, cmp.lhs, cmp.rhs),
-        notes,
-        elapsed_ms,
-    )
+    return IdentityReport(case.id, order, None if cmp.equal else cmp, notes, elapsed_ms)
 
 
 def verify(case_id: str, order: Optional[int] = None) -> IdentityReport:
@@ -798,17 +799,6 @@ def verify_all(order: Optional[int] = None) -> list[IdentityReport]:
         effective, clamp_note = _effective_order(case, order, bulk=True)
         reports.append(_run_case(case, effective, clamp_note))
     return reports
-
-
-def control_misbehaved(report: IdentityReport) -> bool:
-    """True when the negative control failed to mismatch where it should.
-
-    Through order 1 both of its sides agree, so a pass there is fine; from
-    order 2 on, a pass means the comparison machinery has stopped working.
-    """
-    if report.id != NEGATIVE_CONTROL_ID:
-        return False
-    return report.status == STATUS_PASS and report.order_checked >= 2
 
 
 def describe_sides(case: IdentityCase) -> tuple[str, str]:

@@ -8,7 +8,8 @@ import pytest
 
 from qplab import registry
 from qplab.cli import main
-from qplab.registry import IdentityReport, Mismatch
+from qplab.registry import IdentityReport
+from qplab.series import Comparison
 
 import oracles
 
@@ -85,18 +86,36 @@ def test_verify_control_alone_is_expected(capsys):
 
 
 def test_verify_exit_one_on_real_mismatch(capsys, monkeypatch):
-    fake = IdentityReport("euler-reciprocal", 10, "mismatch", Mismatch(3, 1, 2))
+    fake = IdentityReport("euler-reciprocal", 10, Comparison(False, 3, 1, 2))
     monkeypatch.setattr(registry, "verify_all", lambda order=None: [fake])
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 1
     assert "FAIL" in out
+    first, summary = out.splitlines()
+    assert first.startswith("FAIL") and first.endswith("  mismatch at n=3: lhs=1 rhs=2")
+    assert summary == "0 passed, 1 failed"
 
 
 def test_verify_exit_one_if_control_unexpectedly_passes(capsys, monkeypatch):
-    fake = IdentityReport(registry.NEGATIVE_CONTROL_ID, 10, "pass")
+    fake = IdentityReport(registry.NEGATIVE_CONTROL_ID, 10)
     monkeypatch.setattr(registry, "verify_all", lambda order=None: [fake])
-    code, _, _ = run(capsys, "verify", "--all")
+    code, out, _ = run(capsys, "verify", "--all")
     assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL")
+    assert lines[-1] == "0 passed, 1 failed"
+
+
+def test_verify_all_json_matches_pinned_output(capsys):
+    # sha256 of the whole report document at the default orders, with the
+    # timing field removed: pins every id, order, status, mismatch and note
+    code, out, _ = run(capsys, "verify", "--all", "--json")
+    assert code == 0
+    docs = json.loads(out)
+    for doc in docs:
+        del doc["elapsed_ms"]
+    digest = hashlib.sha256(json.dumps(docs, indent=2).encode()).hexdigest()
+    assert digest[:16] == "1fe2efad9a1ca883"
 
 
 # ----------------------------------------------------------------------
@@ -392,3 +411,9 @@ def test_identities_json_includes_recipes(capsys):
     assert omega_case["lhs"] and omega_case["rhs"]
     assert by_id[registry.NEGATIVE_CONTROL_ID]["negative_control"] is True
     assert by_id["thm-1.2-a"]["enumeration_backed"] is True
+
+
+def test_identities_json_matches_pinned_output(capsys):
+    code, out, _ = run(capsys, "identities", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "052c316515149884"

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -237,6 +238,12 @@ def test_budget_is_enforced():
     with pytest.raises(P.PartitionError):
         P.count_family(P.FAMILIES["E"], 31)
     assert P.family_series(P.FAMILIES["E"], 31, budget=31).order == 31
+    # the listing is refused before any work: it would take seconds at 31
+    start = time.perf_counter()
+    for name in ALL_FAMILY_NAMES:
+        with pytest.raises(P.PartitionError, match="^n 31 exceeds the enumeration budget 30$"):
+            P.enumerate_family(P.FAMILIES[name], 31)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_is_square():

@@ -1,6 +1,7 @@
 import pytest
 
 from qplab import registry
+from qplab.series import Comparison
 
 
 def report_by_id(reports, case_id):
@@ -40,9 +41,19 @@ def test_negative_control_mismatch():
 def test_negative_control_passes_at_degenerate_order():
     report = registry.verify(registry.NEGATIVE_CONTROL_ID, 1)
     assert report.status == registry.STATUS_PASS
-    assert not registry.control_misbehaved(report)
+    assert report.verdict == "PASS"
     report = registry.verify(registry.NEGATIVE_CONTROL_ID, 10)
-    assert not registry.control_misbehaved(report)
+    assert report.verdict == "XFAIL"
+
+
+def test_verdict_holds_the_negative_control_rule():
+    control, other = registry.NEGATIVE_CONTROL_ID, "euler-reciprocal"
+    mismatch = Comparison(False, 2, 2, 1)
+    assert registry.IdentityReport(other, 10).verdict == "PASS"
+    assert registry.IdentityReport(other, 10, mismatch).verdict == "FAIL"
+    assert registry.IdentityReport(control, 10, mismatch).verdict == "XFAIL"
+    assert registry.IdentityReport(control, 1).verdict == "PASS"
+    assert registry.IdentityReport(control, 2).verdict == "FAIL"
 
 
 def test_verify_all_degenerate_order():
