@@ -168,13 +168,23 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         print(f"error: --n must lie in 0..{budget}", file=sys.stderr)
         return 2
     spec = partitions.FAMILIES[args.family]
-    unsigned = partitions.count_family(spec, args.n, use_weight=False)
-    signed = partitions.count_family(spec, args.n, use_weight=True)
+    weighted = {}
+    if args.stats:
+        # the split counts hold the plain count and the counts weighted by the
+        # parity of the number of even parts and of all parts
+        x0, x1, x2, x3 = partitions.statistic_counts(spec, args.n)
+        unsigned = x0 + x1
+        weighted = {partitions.WEIGHT_EVEN_PARTS: x0 - x1, partitions.WEIGHT_ALL_PARTS: x2 - x3}
+    else:
+        unsigned = partitions.count_family(spec, args.n, use_weight=False)
+    if spec.weight in weighted:
+        signed = weighted[spec.weight]
+    else:
+        signed = partitions.count_family(spec, args.n, use_weight=True)
     print(f"family {args.family} n={args.n}")
     print(f"count {unsigned}")
     print(f"weighted {signed}")
     if args.stats:
-        x0, x1, x2, x3 = partitions.statistic_counts(spec, args.n)
         name = args.family
         print(f"{name}0={x0} {name}1={x1} {name}2={x2} {name}3={x3}")
     if args.list:

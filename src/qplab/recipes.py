@@ -10,6 +10,15 @@ Besides the node classes below, three lower-layer types serve as nodes
 directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
 and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
+
+A ``Mul`` folds its product factors into one product form,
+const * q^shift * prod (1 - s*q^e)^a, kept as an exponent vector {(s, e): a}
+and evaluated in one O(order^2) pass by the EULER transform (``_euler``).
+``Poch`` factors, factors whose series has at most two terms c*q^m and
++-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Inv``,
+``Pow`` or ``Mul`` of such factors fold; any other factor is evaluated and
+multiplied in afterwards.  Outside a ``Mul``, a ``Poch`` is expanded by the
+binomial kernels, an ``Inv`` by ``Series.invert`` and a ``Pow`` by ``_power``.
 """
 
 from __future__ import annotations
@@ -18,9 +27,10 @@ import re
 import sys
 from dataclasses import dataclass
 from math import prod
-from typing import Any, Callable, Union
+from operator import mul
+from typing import Any, Callable, Optional, Union
 
-from .series import Series, SeriesError
+from .series import Series, SeriesError, _non_unit
 from .qengine import (
     Parameter,
     Poch,
@@ -210,8 +220,8 @@ def _rule(node: Recipe) -> _Rule:
         raise TypeError(f"unknown recipe node {node!r}") from None
 
 
-def _eval_pow(node: Pow, order: int) -> Series:
-    """node^k by the power recurrence or by binary powering.
+def _power(base: Series, k: int, order: int) -> Series:
+    """base^k by the power recurrence or by binary powering.
 
     Counted per output coefficient, in digit operations on coefficients
     about as long as k (fewer than 2^bits(k) digits): the recurrence
@@ -223,8 +233,6 @@ def _eval_pow(node: Pow, order: int) -> Series:
     negative k inverts the base first, and a base without constant term
     vanishes past the order.
     """
-    base = evaluate(node.node, order)
-    k = node.k
     c0 = base.coeffs[0]
     bits = abs(k).bit_length()
     products = bits + abs(k).bit_count() - 2
@@ -282,6 +290,127 @@ def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
         if remainder:
             raise SeriesError(f"the power recurrence does not divide exactly at q^{n}")
     return g
+
+
+class _Product:
+    """const * q^shift * prod (1 - s*q^e)^a over `exponents` {(s, e): a}, each e >= 1.
+
+    A plain class, not a dataclass: generating a dataclass's methods costs
+    import time that every CLI call pays.
+    """
+
+    __slots__ = ("const", "shift", "exponents")
+
+    def __init__(self, const: int = 1, shift: int = 0, exponents: Optional[dict] = None):
+        self.const, self.shift, self.exponents = const, shift, exponents or {}
+
+    def __mul__(self, other: "_Product") -> "_Product":
+        exponents = dict(self.exponents)
+        for key, a in other.exponents.items():
+            exponents[key] = exponents.get(key, 0) + a
+        return _Product(self.const * other.const, self.shift + other.shift, exponents)
+
+    def __pow__(self, k: int) -> "_Product":
+        """The k-th power; const must be +-1, and shift 0 when k < 0."""
+        exponents = {key: a * k for key, a in self.exponents.items()}
+        return _Product(self.const ** abs(k), self.shift * k, exponents)
+
+    def series(self, order: int) -> Series:
+        top = order - self.shift
+        if top < 0 or not self.const:
+            return Series.zero(order)
+        g = _euler(self.exponents, top)
+        return Series._trusted([0] * self.shift + [self.const * x for x in g])
+
+
+def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
+    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, by the EULER transform.
+
+    The logarithmic derivative q g'/g = sum_n c_n q^n of the product g has
+    c_n = -sum_{(s,e): e | n} e * a * s^(n/e), and n g_n = sum_{k=1..n} c_k
+    g_(n-k) with g_0 = 1 (Bernstein & Sloane 1995): O(top^2) multiplies of
+    a small c_k by a coefficient, however many factors there are.  A signed
+    factor keeps its own terms, so a product that is 1 is still a sum over
+    divisors that cancels.  Each division is checked: a remainder raises
+    SeriesError instead of being floored away.
+    """
+    c = [0] * (top + 1)
+    for (s, e), a in exponents.items():
+        for n in range(e, top + 1, e):
+            c[n] -= e * a * s ** (n // e)
+    g = [1]
+    if not any(c):
+        return g + [0] * top
+    backwards = c[::-1]  # backwards[top - n:] is c_n, c_(n-1), ..., c_0
+    for n in range(1, top + 1):
+        g_n, remainder = divmod(sum(map(mul, backwards[top - n :], g)), n)
+        if remainder:
+            raise SeriesError(f"the EULER transform does not divide exactly at q^{n}")
+        g.append(g_n)
+    return g
+
+
+def _as_product(s: Series) -> Union[_Product, Series]:
+    """s as the product c*q^m*(1 - sign*q^e) when its terms are c*q^m and -sign*c*q^(m+e), or fewer.
+
+    Any other series is returned as it is.
+    """
+    coeffs = s.coeffs
+    if len(coeffs) - coeffs.count(0) > 2:
+        return s
+    terms = [(i, c) for i, c in enumerate(coeffs) if c]
+    if not terms:
+        return _Product(0)
+    (m, c), *rest = terms
+    if not rest:
+        return _Product(c, m)
+    (n, d), = rest
+    if d not in (c, -c):
+        return s
+    return _Product(c, m, {(-d // c, n - m): 1})
+
+
+def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
+    """node as a _Product when it folds into one, else its series through the order.
+
+    Errors are those of evaluating the node: an infinite Pochhammer at +q^0
+    raises from Poch.exponents, and inverting a product whose constant term
+    is not +-1 raises series._non_unit's error.  A power of a product whose
+    constant is not +-1, or a negative power of one with a shift, does not
+    fold and goes through _power.
+    """
+    kind = type(node)
+    if kind is Poch:
+        exponents = node.exponents(order)
+        s = node.a.sign
+        const = 1 - s if exponents and exponents[0] == 0 else 1
+        return _Product(const, 0, {(s, e): 1 for e in exponents if e})
+    if kind is Mul:
+        product, rest = _Product(), []
+        for f in node.factors:
+            folded = _fold(f, order)
+            if isinstance(folded, Series):
+                rest.append(folded)
+            else:
+                product *= folded
+        return prod(rest, start=product.series(order)) if rest else product
+    if kind is Inv:
+        base = _fold(node.node, order)
+        if isinstance(base, Series):
+            return base.invert()
+        if base.shift or base.const not in (1, -1):
+            raise _non_unit(0 if base.shift else base.const)
+        return base ** -1
+    if kind is Pow:
+        base = _fold(node.node, order)
+        if isinstance(base, Series) or base.const not in (1, -1) or (node.k < 0 and base.shift):
+            return _power(_series(base, order), node.k, order)
+        return base ** node.k
+    return _as_product(evaluate(node, order))
+
+
+def _series(folded: Union[_Product, Series], order: int) -> Series:
+    return folded if isinstance(folded, Series) else folded.series(order)
 
 
 def _eval_cubic_progression(node: CubicProgression, order: int) -> Series:
@@ -385,7 +514,7 @@ _RULES: dict[type, _Rule] = {
         _child,
     ),
     Mul: _Rule(
-        lambda n, order: prod((evaluate(f, order) for f in n.factors), start=Series.one(order)),
+        lambda n, order: _series(_fold(n, order), order),
         lambda n: " * ".join(f"({render(f)})" for f in n.factors),
         lambda n: n.factors,
     ),
@@ -394,7 +523,11 @@ _RULES: dict[type, _Rule] = {
         lambda n: f"1/({render(n.node)})",
         _child,
     ),
-    Pow: _Rule(_eval_pow, lambda n: f"({render(n.node)})^{n.k}", _child),
+    Pow: _Rule(
+        lambda n, order: _power(evaluate(n.node, order), n.k, order),
+        lambda n: f"({render(n.node)})^{n.k}",
+        _child,
+    ),
     NegVar: _Rule(
         lambda n, order: evaluate(n.node, order).negate_variable(),
         lambda n: f"[q -> -q]({render(n.node)})",

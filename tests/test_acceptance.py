@@ -70,12 +70,12 @@ def test_criterion_3_enumeration_template_equivalence():
     for name, spec in partitions.FAMILIES.items():
         for signed in (False, True):
             mode = spec.weight if signed else partitions.WEIGHT_NONE
-            enumerated = partitions.family_series(spec, order, mode)
+            cells = partitions.family_series(spec, order, mode)
             template = family_gf_series(name, signed, order)
-            assert enumerated == template, (name, signed)
+            assert cells == template, (name, signed)
             comparisons += 1
     assert comparisons == 16
-    print(f"ACCEPTANCE 3 PASS: {comparisons} enumeration/template comparisons at order {order}")
+    print(f"ACCEPTANCE 3 PASS: {comparisons} cell-product/template comparisons at order {order}")
 
 
 def test_criterion_4_closed_form_spot_checks():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qplab import registry
+from qplab import partitions, registry
 from qplab.cli import main
 from qplab.registry import IdentityReport
 from qplab.series import Comparison
@@ -106,16 +106,24 @@ def test_verify_exit_one_if_control_unexpectedly_passes(capsys, monkeypatch):
     assert lines[-1] == "0 passed, 1 failed"
 
 
-def test_verify_all_json_matches_pinned_output(capsys):
-    # sha256 of the whole report document at the default orders, with the
-    # timing field removed: pins every id, order, status, mismatch and note
-    code, out, _ = run(capsys, "verify", "--all", "--json")
+def _verify_all_digest(capsys, *order):
+    code, out, _ = run(capsys, "verify", "--all", "--json", *order)
     assert code == 0
     docs = json.loads(out)
     for doc in docs:
         del doc["elapsed_ms"]
-    digest = hashlib.sha256(json.dumps(docs, indent=2).encode()).hexdigest()
-    assert digest[:16] == "1fe2efad9a1ca883"
+    return hashlib.sha256(json.dumps(docs, indent=2).encode()).hexdigest()[:16]
+
+
+def test_verify_all_json_matches_pinned_output(capsys):
+    # sha256 of the whole report document at the default orders, with the
+    # timing field removed: pins every id, order, status, mismatch and note
+    assert _verify_all_digest(capsys) == "1fe2efad9a1ca883"
+
+
+def test_verify_all_json_matches_pinned_output_at_order_200(capsys):
+    # the same document at order 200, where the product sides are long
+    assert _verify_all_digest(capsys, "--order", "200") == "15e6cac669365f40"
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +334,25 @@ def test_enum_listing_matches_worked_example(capsys):
         "3g+1g",
         "2b+1b+1g",
     ]
+
+
+@pytest.mark.parametrize("family, tables", [("E", 3), ("Tnu", 4)])
+def test_enum_stats_builds_each_table_once(capsys, monkeypatch, family, tables):
+    # the plain and even-parts counts come from the split counts; only
+    # Tnu's even-blue-parts weight needs a table of its own
+    _, plain, _ = run(capsys, "enum", "--family", family, "--n", "12")
+    modes = []
+    inner = partitions.family_series
+
+    def counted(spec, n, mode, *rest):
+        modes.append(mode)
+        return inner(spec, n, mode, *rest)
+
+    monkeypatch.setattr(partitions, "family_series", counted)
+    code, out, _ = run(capsys, "enum", "--family", family, "--n", "12", "--stats")
+    assert code == 0
+    assert out.splitlines()[:3] == plain.splitlines()
+    assert len(modes) == len(set(modes)) == tables
 
 
 # sha256 of the whole `enum --family <F> --n 14 --list` output: pins the

@@ -1,6 +1,6 @@
 """The recipe parser: random expressions against a naive expansion, render
-round trips, malformed token strings, the nesting bound, and the two ways
-of evaluating a power."""
+round trips, malformed token strings, the nesting bound, the two ways of
+evaluating a power, and the product fold of Mul against naive products."""
 
 import math
 import sys
@@ -10,12 +10,15 @@ import pytest
 from qplab import recipes
 from qplab.cli import main
 from qplab.mocktheta import MockThetaForm
-from qplab.qengine import LENGTH_INF, Parameter, Poch, PochFactor, TermTemplate
+from qplab.qengine import LENGTH_INF, Parameter, Poch, PochFactor, QEngineError, TermTemplate
 from qplab.recipes import (
     MAX_DEPTH,
     Add,
+    Const,
     FamilyGF,
+    Inv,
     Monomial,
+    Mul,
     ParseError,
     Phi21,
     Pow,
@@ -261,3 +264,133 @@ _Q = Parameter.monomial(1)
 def test_negative_order_is_refused(node):
     with pytest.raises(SeriesError, match=r"^cannot evaluate through q\^-1: the order must be nonnegative$"):
         evaluate(node, -1)
+
+
+# ----------------------------------------------------------------------
+# the product fold: a Mul of Pochhammer, binomial-power, constant and
+# monomial factors is one exponent vector evaluated by the EULER transform
+
+def _naive_power(a, k):
+    return _repeated_product(a, k) if k >= 0 or a[0] in (1, -1) else None
+
+
+def _fold_leaf(rng, order):
+    """(node, naive coefficients) of a factor that folds; the constant term may be 0 or 2."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        sign, e, step = rng.choice((1, -1)), rng.randint(0, 3), rng.randint(1, 3)
+        length = rng.choice((None, rng.randint(0, 6)))
+        if length is None and (sign, e) == (1, 0):
+            sign = -1  # (1; q^step)_inf raises; see the error test below
+        if length is None:
+            return Poch(Parameter(sign, e), step), oracles.p_poch_inf(sign, e, step, order)
+        return Poch(Parameter(sign, e), step, length), oracles.p_poch_fin(sign, e, step, length, order)
+    if kind == 1:
+        sign, e = rng.choice((1, -1)), rng.randint(1, 4)
+        text = f"1{'-' if sign == 1 else '+'}q^{e}"
+        return parse(text), oracles.p_binom(sign, e, order)
+    if kind == 2:
+        c = rng.choice((1, -1, 2, -3))
+        return Const(c), oracles.p_mono(0, order, c)
+    m, c = rng.randint(0, 3), rng.choice((1, -1, 2))
+    return Monomial(m, c), oracles.p_mono(m, order, c)
+
+
+def _fold_factor(rng, order):
+    """(node, naive coefficients) of a random Mul factor; most fold, a few do not."""
+    kind = rng.randrange(8)
+    if kind < 4:
+        return _fold_leaf(rng, order)
+    if kind == 4:
+        node, a = _fold_leaf(rng, order)
+        if a[0] not in (1, -1):
+            return node, a
+        return Inv(node), oracles.p_inv(a)
+    if kind == 5:
+        node, a = _fold_leaf(rng, order)
+        k = rng.randint(-4, 12)
+        if k < 0 and a[0] not in (1, -1):
+            k = -k
+        return Pow(node, k), _naive_power(a, k)
+    if kind == 6:  # a dense base: Pow does not fold it
+        f = [rng.choice((1, -1))] + [rng.randint(-3, 3) for _ in range(order)]
+        k = rng.randint(-2, 3)
+        return Pow(_polynomial(f), k), _naive_power(f, k)
+    q = Parameter.monomial(1)
+    return (Phi21(q, q, Parameter.zero(), 1, q),
+            oracles.phi21_series((1, 1), (1, 1), (0, 0), 1, (1, 1), order))
+
+
+@pytest.fixture
+def euler_calls(monkeypatch):
+    calls = []
+    inner = recipes._euler
+
+    def counted(exponents, top):
+        calls.append(dict(exponents))
+        return inner(exponents, top)
+
+    monkeypatch.setattr(recipes, "_euler", counted)
+    return calls
+
+
+def test_folded_products_match_naive_products(rng, euler_calls):
+    for _ in range(300):
+        order = rng.choice((0, 1, rng.randint(2, 12), rng.randint(13, 40)))
+        factors, expected = [], oracles.p_one(order)
+        for _ in range(rng.randint(1, 5)):
+            node, coeffs = _fold_factor(rng, order)
+            factors.append(node)
+            expected = oracles.p_mul(expected, coeffs)
+        node = Mul(tuple(factors))
+        assert list(evaluate(node, order).coeffs) == expected, render(node)
+        # nested: the Mul is itself a factor, raised to a power
+        twice = Mul((node, Pow(node, 1)))
+        assert list(evaluate(twice, order).coeffs) == oracles.p_mul(expected, expected)
+    assert any(euler_calls)
+
+
+def test_fold_keeps_the_signed_terms():
+    # (-q;q)_inf (q;q^2)_inf = 1: the divisor sums cancel, the vector is not empty
+    node = Mul((Poch(Parameter(-1, 1), 1), Poch(Parameter(1, 1), 2)))
+    product = recipes._fold(node, 30)
+    assert (product.const, product.shift) == (1, 0)
+    assert {(-1, 1), (1, 1), (-1, 2)} <= set(product.exponents)
+    assert evaluate(node, 30) == evaluate(Const(1), 30)
+
+
+def test_fold_constant_terms_at_q0():
+    q = Parameter.monomial(1)
+    # (-1; q)_3 = 2 (1+q)(1+q^2), and (1; q)_2 vanishes
+    doubled = Mul((Poch(Parameter(-1, 0), 1, 3), Inv(Poch(q, 1))))
+    expected = oracles.p_mul(oracles.p_poch_fin(-1, 0, 1, 3, 20), oracles.p_inv(oracles.p_poch_inf(1, 1, 1, 20)))
+    assert list(evaluate(doubled, 20).coeffs) == expected and expected[0] == 2
+    assert evaluate(Mul((Poch(Parameter(1, 0), 1, 2), Inv(Poch(q, 1)))), 20).is_zero()
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        Poch(Parameter(1, 0), 1, 2),
+        Poch(Parameter(-1, 0), 2),
+        Mul((Monomial(1), Poch(Parameter.monomial(1), 1))),
+        Monomial(0, 2),
+        Const(0),
+        parse("2+q+q^2"),
+    ],
+    ids=["finite-zero", "minus-q0", "shifted", "doubled-monomial", "zero", "dense"],
+)
+@pytest.mark.parametrize("order", [0, 1, 9])
+def test_fold_inverts_a_non_unit_with_the_same_error(node, order):
+    # the lone Inv inverts the evaluated series; inside a Mul the fold inverts the product
+    with pytest.raises(SeriesError) as lone:
+        evaluate(Inv(node), order)
+    with pytest.raises(SeriesError) as folded:
+        evaluate(Mul((Poch(Parameter.monomial(1), 1), Inv(node))), order)
+    assert str(folded.value) == str(lone.value)
+    assert str(lone.value).startswith("cannot invert a series with constant coefficient")
+
+
+def test_fold_keeps_the_infinite_q0_error():
+    with pytest.raises(QEngineError, match="vanishes"):
+        evaluate(Mul((Monomial(1), Poch(Parameter(1, 0), 1))), 5)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from qplab import registry
+from qplab.qengine import Poch
+from qplab.recipes import Mul
 from qplab.series import Comparison
 
 
@@ -94,6 +98,35 @@ def test_enumeration_cases_clamp_to_budget():
     assert report.order_checked == 30 and report.status == registry.STATUS_PASS
     bulk = report_by_id(registry.verify_all(40), "thm-1.2-a")
     assert bulk.order_checked == registry.ENUMERATION_DEFAULT_ORDER
+
+
+def _poch_sign_flips(node):
+    """Every copy of the recipe with one Poch leaf's argument sign flipped."""
+    if isinstance(node, Poch):
+        yield replace(node, a=replace(node.a, sign=-node.a.sign))
+    elif isinstance(node, Mul):
+        for i, factor in enumerate(node.factors):
+            for mutant in _poch_sign_flips(factor):
+                yield replace(node, factors=node.factors[:i] + (mutant,) + node.factors[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "case_id, mutants",
+    [("euler-reciprocal", 2), ("basic-even-odd-split", 3), ("basic-split-finite", 3)],
+)
+def test_product_vs_product_cases_can_fail(monkeypatch, case_id, mutants):
+    # both sides of these cases are Pochhammer products, so they must not
+    # share one normal form that no sign error could break
+    case = registry.get_case(case_id)
+    killed = 0
+    for side in ("lhs", "rhs"):
+        for mutant in _poch_sign_flips(getattr(case, side)):
+            monkeypatch.setitem(registry._BY_ID, case_id, replace(case, **{side: mutant}))
+            report = registry.verify(case_id)
+            assert report.order_checked == case.default_order
+            assert report.verdict == "FAIL", (side, mutant)
+            killed += 1
+    assert killed == mutants
 
 
 def test_pure_series_cases_take_requested_order():
