@@ -5,7 +5,9 @@ A family is described by a smallest-part anchor plus one rule per
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
   value first and then one increasing run of the allowed (value, color)
-  slots, each taken with a copy count;
+  slots, each taken with a copy count; the walk keeps each slot as one
+  integer rank, sorts the leaves' rank tuples once, and builds each
+  partition once from parts interned per call;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
   out the factor that leaves, which scales far beyond listing range; the
@@ -77,6 +79,17 @@ class TwoColorPartition:
 
     def __init__(self, parts):
         self._parts = tuple(sorted(parts, key=ColoredPart.sort_key))
+
+    @classmethod
+    def _trusted(cls, parts) -> "TwoColorPartition":
+        """A partition over `parts`, which must already be in canonical order.
+
+        For parts the package listed itself: unlike ``TwoColorPartition(...)``
+        it does not sort them.
+        """
+        p = object.__new__(cls)
+        p._parts = tuple(parts)
+        return p
 
     @property
     def parts(self) -> tuple[ColoredPart, ...]:
@@ -380,30 +393,39 @@ def statistic_counts(
 def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     """Every family partition of n exactly once, in canonical order.
 
-    For each smallest value s (a single pass with s = None when the family
-    anchors none) the anchor parts go on one shared stack and the allowed
-    cells become one row of slots (value, color, distinct) sorted by value.
+    The walk builds integers, not objects.  Each (value, color) slot is named
+    by one rank, 2 * (n - value) + (1 if green else 0), so ascending ranks
+    are the canonical order: larger value first, blue before green.  For
+    each smallest value s (a single pass with s = None when the family
+    anchors none) the anchor ranks go on one shared stack and the allowed
+    cells become one row of slots (value, rank, distinct) sorted by value.
     One recursion then takes an increasing run of slots, each with a copy
-    count, pushing the copies before it descends and popping them after.
+    count, pushing the copies' ranks before it descends and popping them
+    after; each leaf keeps its ranks sorted as one key tuple.  The keys are
+    sorted once, which sorts them exactly as `TwoColorPartition.sort_key`
+    would, and each becomes a partition of the 2n parts built once per call.
     The listing grows like exp(c sqrt(n)), so n is held to the enumeration
     budget before any listing work, with `count_family`'s error.
     """
     _check_n(n, DEFAULT_ENUMERATION_BUDGET)
-    found: list[TwoColorPartition] = []
-    stack: list[tuple[int, str]] = []
+    keys: list[tuple[int, ...]] = []
+    stack: list[int] = []
 
-    def pick(slots: list[tuple[int, str, bool]], i: int, rem: int) -> None:
+    def pick(slots: list[tuple[int, int, bool]], i: int, rem: int) -> None:
         if rem == 0:
-            found.append(TwoColorPartition([ColoredPart(v, c) for v, c in stack]))
+            keys.append(tuple(sorted(stack)))
             return
         for j in range(i, len(slots)):
-            v, color, distinct = slots[j]
+            v, r, distinct = slots[j]
             if v > rem:
                 break
             for k in range(1, 2 if distinct else rem // v + 1):
-                stack.append((v, color))
+                stack.append(r)
                 pick(slots, j + 1, rem - k * v)
             del stack[len(stack) - k:]
+
+    def rank(v: int, color: str) -> int:
+        return 2 * (n - v) + (1 if color == GREEN else 0)
 
     smallest_values = [None] if spec.anchor is None else range(1, n + 1, 2)
     for s in smallest_values:
@@ -411,16 +433,17 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
         remaining = n - (s or 0) * len(anchor_colors)
         if remaining < 0:
             break
-        stack[:] = [(s, color) for color in anchor_colors]
+        stack[:] = [rank(s, color) for color in anchor_colors]
         slots = sorted(
-            (v, color, spec.cell(color, parity).distinct)
+            (v, rank(v, color), spec.cell(color, parity).distinct)
             for color, parity in _CELLS
             if spec.cell(color, parity).allowed
             for v in range(_cell_start(spec, color, parity, s), remaining + 1, 2)
         )
         pick(slots, 0, remaining)
-    found.sort(key=TwoColorPartition.sort_key)
-    return found
+    keys.sort()
+    parts = [ColoredPart(n - r // 2, GREEN if r % 2 else BLUE) for r in range(2 * n)]
+    return [TwoColorPartition._trusted([parts[r] for r in key]) for key in keys]
 
 
 # ----------------------------------------------------------------------

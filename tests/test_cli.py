@@ -376,6 +376,26 @@ def test_enum_listing_matches_pinned_output_at_n_14(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_LISTING_14[family]
 
 
+# the same digest at the benchmark's n = 20
+PINNED_LISTING_20 = {
+    "E": "2922858450927bc3",
+    "F": "fdce8762b97c1a4f",
+    "Tomega": "b2e3c2210fa74656",
+    "Tpsi": "01b28ba6c1becf86",
+    "Tnu": "7ab2f43e1d53f31b",
+    "A": "f91e90c85d1ac665",
+    "B": "7989bde803266bc7",
+    "C": "d13b1a4763b2dcb9",
+}
+
+
+@pytest.mark.parametrize("family", PINNED_LISTING_20)
+def test_enum_listing_matches_pinned_output_at_n_20(capsys, family):
+    code, out, _ = run(capsys, "enum", "--family", family, "--n", "20", "--list")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_LISTING_20[family]
+
+
 def test_enum_anchored_family_at_zero(capsys):
     code, out, _ = run(capsys, "enum", "--family", "A", "--n", "0")
     assert code == 0

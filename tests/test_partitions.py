@@ -56,12 +56,19 @@ def test_enumeration_matches_generating_function_beyond_the_oracle(name):
         assert signed == family_gf_series(name, True, n).coeff(n)
 
 
-def test_enumeration_no_duplicates_and_sorted():
-    spec = P.FAMILIES["A"]
-    members = P.enumerate_family(spec, 9)
-    assert len(set(members)) == len(members)
-    assert members == sorted(members, key=P.TwoColorPartition.sort_key)
-    assert members == P.enumerate_family(spec, 9)
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_listing_is_canonical_strictly_increasing_and_repeatable(name):
+    # the listing wraps its parts without sorting them: each partition must
+    # equal the one the sorting constructor builds from the same parts
+    spec = P.FAMILIES[name]
+    for n in range(0, 17):
+        members = P.enumerate_family(spec, n)
+        for p in members:
+            rebuilt = P.TwoColorPartition(list(reversed(p.parts)))
+            assert rebuilt == p and rebuilt.parts == p.parts, f"{name} at n={n}: {p}"
+        keys = [p.sort_key() for p in members]
+        assert all(a < b for a, b in zip(keys, keys[1:])), f"{name} at n={n}"
+    assert members == P.enumerate_family(spec, 16)
 
 
 # ----------------------------------------------------------------------
