@@ -3,7 +3,7 @@ exploration and machine-readable exports.
 
 Exit status contract: 0 when everything requested passes, 1 when at least
 one report's verdict is FAIL, 2 for usage errors.  The environment variable
-QPLAB_MAX_ORDER caps every requested order and enumeration depth.
+QPLAB_MAX_ORDER caps every requested order and `enum --n`.
 """
 
 from __future__ import annotations
@@ -163,24 +163,30 @@ def _cmd_enum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    budget = _capped(partitions.DEFAULT_ENUMERATION_BUDGET)
-    if args.n < 0 or args.n > budget:
-        print(f"error: --n must lie in 0..{budget}", file=sys.stderr)
+    # only the listing grows like exp(c sqrt(n)); the counts take O(n^2)
+    limit = _capped(partitions.DEFAULT_ENUMERATION_BUDGET) if args.list else _order_cap()
+    if args.n < 0 or (limit is not None and args.n > limit):
+        span = "be nonnegative" if limit is None else f"lie in 0..{limit}"
+        print(f"error: --n must {span}{' with --list' if args.list else ''}", file=sys.stderr)
         return 2
     spec = partitions.FAMILIES[args.family]
     weighted = {}
-    if args.stats:
-        # the split counts hold the plain count and the counts weighted by the
-        # parity of the number of even parts and of all parts
-        x0, x1, x2, x3 = partitions.statistic_counts(spec, args.n)
-        unsigned = x0 + x1
-        weighted = {partitions.WEIGHT_EVEN_PARTS: x0 - x1, partitions.WEIGHT_ALL_PARTS: x2 - x3}
-    else:
-        unsigned = partitions.count_family(spec, args.n, use_weight=False)
-    if spec.weight in weighted:
-        signed = weighted[spec.weight]
-    else:
-        signed = partitions.count_family(spec, args.n, use_weight=True)
+    try:
+        if args.stats:
+            # the split counts hold the plain count and the counts weighted by
+            # the parity of the number of even parts and of all parts
+            x0, x1, x2, x3 = partitions.statistic_counts(spec, args.n)
+            unsigned = x0 + x1
+            weighted = {partitions.WEIGHT_EVEN_PARTS: x0 - x1, partitions.WEIGHT_ALL_PARTS: x2 - x3}
+        else:
+            unsigned = partitions.count_family(spec, args.n, use_weight=False)
+        if spec.weight in weighted:
+            signed = weighted[spec.weight]
+        else:
+            signed = partitions.count_family(spec, args.n, use_weight=True)
+    except (MemoryError, OverflowError):
+        print(_too_large(args.n), file=sys.stderr)
+        return 2
     print(f"family {args.family} n={args.n}")
     print(f"count {unsigned}")
     print(f"weighted {signed}")

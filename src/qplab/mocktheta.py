@@ -152,21 +152,12 @@ def nu(order: int, sign: int = 1) -> Series:
 
 def nu_fine(order: int, sign: int = 1) -> Series:
     """nu through the generic 2phi1 evaluator instead of direct summation."""
-    if sign == 1:
-        return phi21(
-            Parameter.monomial(1),
-            Parameter.monomial(2),
-            Parameter.zero(),
-            2,
-            Parameter.monomial(1, -1),
-            order,
-        )
     return phi21(
-        Parameter.monomial(1, -1),
+        Parameter.monomial(1, sign),
         Parameter.monomial(2),
         Parameter.zero(),
         2,
-        Parameter.monomial(1),
+        Parameter.monomial(1, -sign),
         order,
     )
 

@@ -2,9 +2,10 @@
 
 Keeping the two sides of every catalog entry as data rather than code means
 the CLI can print exactly what was evaluated, and the registry can tell
-enumeration-backed recipes (which must respect the enumeration budget) from
-pure series recipes.  The same trees are what ``parse`` builds from the
-arithmetic of a ``coeffs --target rational:...`` expression.
+enumeration-backed recipes (partition counts, which it verifies at lower
+orders) from pure series recipes.  The same trees are what ``parse``
+builds from the arithmetic of a ``coeffs --target rational:...``
+expression.
 
 Besides the node classes below, three lower-layer types serve as nodes
 directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
@@ -555,9 +556,7 @@ _RULES: dict[type, _Rule] = {
         lambda n: f"1 + 2 sum {_sign(n.alternating)}q^(n^2)",
     ),
     FamilyCounts: _Rule(
-        lambda n, order: partitions.family_series(
-            partitions.FAMILIES[n.family], order, n.mode, budget=max(order, 1)
-        ),
+        lambda n, order: partitions.family_series(partitions.FAMILIES[n.family], order, n.mode),
         lambda n: f"counts[{n.family}, weight={n.mode}]",
         counts=True,
     ),

@@ -70,7 +70,10 @@ class IdentityCase:
     lhs: Recipe
     rhs: Recipe
     notes: str = ""
-    negative_control: bool = False
+
+    @property
+    def negative_control(self) -> bool:
+        return self.id == NEGATIVE_CONTROL_ID
 
     @property
     def enumeration_backed(self) -> bool:
@@ -188,8 +191,8 @@ _COR_MINUS_LHS = _smallest(
 def _build_catalog() -> tuple[IdentityCase, ...]:
     cases: list[IdentityCase] = []
 
-    def case(id, description, source, lhs, rhs, notes="", negative_control=False):
-        cases.append(IdentityCase(id, description, source, lhs, rhs, notes, negative_control))
+    def case(id, description, source, lhs, rhs, notes=""):
+        cases.append(IdentityCase(id, description, source, lhs, rhs, notes))
 
     # ---- product calculus fundamentals
     case(
@@ -729,7 +732,6 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Mul((Monomial(1), MockThetaForm("omega"))),
         MockThetaForm("psi"),
         notes="expected to mismatch at index 2; a pass here means the harness is broken",
-        negative_control=True,
     )
 
     cases.sort(key=lambda c: c.id)

@@ -236,16 +236,18 @@ def test_coeffs_bad_rational_exits_two(capsys, expression):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("coeffs", "--target", "theta"),
-        ("verify", "--id", "thm-2.4-psi"),
-        ("verify", "--all"),
+        ("coeffs", "--target", "theta", "--order"),
+        ("verify", "--id", "thm-2.4-psi", "--order"),
+        ("verify", "--all", "--order"),
+        ("enum", "--family", "E", "--n"),
+        ("enum", "--family", "Tnu", "--stats", "--n"),
     ],
-    ids=["coeffs", "verify-id", "verify-all"],
+    ids=["coeffs", "verify-id", "verify-all", "enum", "enum-stats"],
 )
 def test_order_too_large_for_memory_exits_two(capsys, argv, order):
     # 8 * 10^15 bytes of coefficients exceed the address space, so the
     # evaluation fails at its first allocation
-    code, out, err = run(capsys, *argv, "--order", str(order))
+    code, out, err = run(capsys, *argv, str(order))
     assert code == 2
     assert out == ""
     assert err.splitlines() == [f"error: order {order} is too large to evaluate in memory"]
@@ -409,9 +411,22 @@ def test_enum_unknown_family(capsys):
 
 
 def test_enum_over_budget(capsys):
-    code, _, err = run(capsys, "enum", "--family", "E", "--n", "31")
+    # only the listing is held to the enumeration budget, before any output
+    code, out, err = run(capsys, "enum", "--family", "E", "--n", "31", "--list")
     assert code == 2
-    assert "--n" in err
+    assert out == ""
+    assert err.splitlines() == ["error: --n must lie in 0..30 with --list"]
+
+
+@pytest.mark.parametrize("family", partitions.FAMILIES)
+def test_enum_counts_past_the_budget_match_the_templates(capsys, family):
+    expected = []
+    for label, target in (("count", f"family:{family}"), ("weighted", f"family:{family}:signed")):
+        _, coeffs, _ = run(capsys, "coeffs", "--target", target, "--order", "60")
+        expected.append(f"{label} {coeffs.strip().split(',')[60]}")
+    code, out, _ = run(capsys, "enum", "--family", family, "--n", "60", "--stats")
+    assert code == 0
+    assert out.splitlines()[1:3] == expected
 
 
 # ----------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_mock_theta_form_validation():
         MockThetaForm("omega", "ady", -1)
     with pytest.raises(QEngineError):
         MockThetaForm("nu", "ady", 1)
+    for sign in (0, 2):
+        with pytest.raises(QEngineError):
+            nu_fine(5, sign)
 
 
 # ----------------------------------------------------------------------
