@@ -13,8 +13,11 @@ and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
 
 A ``Mul`` folds its product factors into one product form,
-const * q^shift * prod (1 - s*q^e)^a, kept as an exponent vector {(s, e): a}
-and evaluated in one O(order^2) pass by the EULER transform (``_euler``).
+const * q^shift * prod (1 - s*q^e)^a, kept as an exponent vector {(s, e): a}.
+A vector whose binomials have degrees summing to at most half the order is
+evaluated in one O(order * sum e) pass by the recurrence that its
+logarithmic derivative gives (``_binomial_product``), any other in one
+O(order^2) pass by the EULER transform (``_euler``).
 ``Poch`` factors, factors whose series has at most two terms c*q^m and
 +-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Inv``,
 ``Pow`` or ``Mul`` of such factors fold; any other factor is evaluated and
@@ -31,7 +34,7 @@ from math import prod
 from operator import mul
 from typing import Any, Callable, Optional, Union
 
-from .series import Series, SeriesError, _non_unit
+from .series import Series, SeriesError, _non_unit, idiv_one_minus, imul_one_minus
 from .qengine import (
     Parameter,
     Poch,
@@ -271,25 +274,37 @@ def _power(base: Series, k: int, order: int) -> Series:
 def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
     """The coefficients of g = f^k through the order of f, O(order * nonzeros(f)).
 
-    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): f g' = k f' g
-    gives n f0 g_n = sum_{j=1..n} ((k+1) j - n) f_j g_(n-j) for n >= 1,
-    with g_0 = f0^k.  f0 must be nonzero, and +-1 when k < 0, where
-    f0^k = f0^|k|.  Each division is checked: a remainder raises
-    SeriesError instead of being floored away.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): f q g' = k q f' g,
+    the kernel ``_log_derivative_recurrence`` with d = f, p_j = k j f_j and
+    g_0 = f0^k.  f0 must be nonzero, and +-1 when k < 0, where
+    f0^k = f0^|k|.
     """
-    f0 = f[0]
-    terms = [(j, (k + 1) * j * c, c) for j, c in enumerate(f) if j and c]
-    g = [0] * len(f)
-    g[0] = f0 ** abs(k)
-    for n in range(1, len(f)):
+    p = [k * j * c for j, c in enumerate(f)]
+    return _log_derivative_recurrence(f, p, f[0] ** abs(k), len(f) - 1)
+
+
+def _log_derivative_recurrence(d, p, g0: int, top: int) -> list[int]:
+    """The coefficients g_0..g_top of the series g with d q g' = p g and the given g_0.
+
+    d and p are polynomials of one length, with d_0 nonzero and p_0 = 0.
+    The coefficients of q^n give
+    n d_0 g_n = sum_{j>=1} (p_j + j d_j - n d_j) g_(n-j),
+    O(top) multiplies per tap j where d_j or p_j is nonzero.  Each division
+    is checked: a remainder raises SeriesError instead of being floored away.
+    """
+    d0 = d[0]
+    taps = [(j, p[j] + j * c, c) for j, c in enumerate(d) if j and (c or p[j])]
+    g = [0] * (top + 1)
+    g[0] = g0
+    for n in range(1, top + 1):
         acc = 0
-        for j, a, c in terms:
+        for j, a, c in taps:
             if j > n:
                 break
             acc += (a - n * c) * g[n - j]
-        g[n], remainder = divmod(acc, n * f0)
+        g[n], remainder = divmod(acc, n * d0)
         if remainder:
-            raise SeriesError(f"the power recurrence does not divide exactly at q^{n}")
+            raise SeriesError(f"the recurrence does not divide exactly at q^{n}")
     return g
 
 
@@ -317,11 +332,44 @@ class _Product:
         return _Product(self.const ** abs(k), self.shift * k, exponents)
 
     def series(self, order: int) -> Series:
+        """The product through q^order, by the pass with fewer multiplies.
+
+        A product of few binomials takes the recurrence of
+        ``_binomial_product``, top * sum(e) multiplies, and a dense one the
+        EULER transform (``_euler``), top^2 / 2, where top = order - shift
+        and the sum is over the binomials with a nonzero power.
+        """
         top = order - self.shift
         if top < 0 or not self.const:
             return Series.zero(order)
-        g = _euler(self.exponents, top)
+        degree = sum(e for (s, e), a in self.exponents.items() if a)
+        if 2 * degree <= top:
+            g = _binomial_product(self.exponents, top)
+        else:
+            g = _euler(self.exponents, top)
         return Series._trusted([0] * self.shift + [self.const * x for x in g])
+
+
+def _binomial_product(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
+    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, O(top * sum e).
+
+    With D = prod (1 - s*q^e), one factor per key with a nonzero a, and
+    P = sum a (-s e q^e) D / (1 - s*q^e), the product g has D q g' = P g
+    (g is D-finite: Stanley, Europ. J. Combin. 1, 1980).  So g takes the
+    kernel ``_log_derivative_recurrence`` with deg D = sum e taps.
+    """
+    keys = [(s, e, a) for (s, e), a in exponents.items() if a]
+    d = [1]
+    for s, e, _ in keys:
+        d += [0] * e
+        imul_one_minus(d, s, e, len(d) - 1)
+    p = [0] * len(d)
+    for s, e, a in keys:
+        quotient = d.copy()
+        idiv_one_minus(quotient, s, e, len(d) - 1)
+        for i in range(len(d) - e):
+            p[i + e] -= a * s * e * quotient[i]
+    return _log_derivative_recurrence(d, p, 1, top)
 
 
 def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
@@ -333,7 +381,9 @@ def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
     a small c_k by a coefficient, however many factors there are.  A signed
     factor keeps its own terms, so a product that is 1 is still a sum over
     divisors that cancels.  Each division is checked: a remainder raises
-    SeriesError instead of being floored away.
+    SeriesError instead of being floored away.  ``_Product.series`` takes
+    this pass for a dense vector, such as an infinite Pochhammer's, whose
+    binomials' degrees sum to more than top / 2.
     """
     c = [0] * (top + 1)
     for (s, e), a in exponents.items():

@@ -769,9 +769,12 @@ def _effective_order(case: IdentityCase, order: Optional[int], bulk: bool) -> tu
         raise ValueError("order must be nonnegative")
     if not case.enumeration_backed:
         return order, ""
-    cap = case.default_order if bulk else ENUMERATION_BUDGET
+    if bulk:
+        cap, name = case.default_order, "the case's default order"
+    else:
+        cap, name = ENUMERATION_BUDGET, "the enumeration budget"
     if order > cap:
-        return cap, f"order clamped from {order} to the enumeration budget {cap}"
+        return cap, f"order clamped from {order} to {name} {cap}"
     return order, ""
 
 

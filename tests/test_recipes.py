@@ -2,6 +2,7 @@
 round trips, malformed token strings, the nesting bound, the two ways of
 evaluating a power, and the product fold of Mul against naive products."""
 
+import hashlib
 import math
 import sys
 
@@ -268,7 +269,8 @@ def test_negative_order_is_refused(node):
 
 # ----------------------------------------------------------------------
 # the product fold: a Mul of Pochhammer, binomial-power, constant and
-# monomial factors is one exponent vector evaluated by the EULER transform
+# monomial factors is one exponent vector evaluated by the EULER transform,
+# or by a short recurrence when its binomials are few
 
 def _naive_power(a, k):
     return _repeated_product(a, k) if k >= 0 or a[0] in (1, -1) else None
@@ -348,6 +350,72 @@ def test_folded_products_match_naive_products(rng, euler_calls):
         twice = Mul((node, Pow(node, 1)))
         assert list(evaluate(twice, order).coeffs) == oracles.p_mul(expected, expected)
     assert any(euler_calls)
+
+
+@pytest.fixture
+def binomial_product_calls(monkeypatch):
+    calls = []
+    inner = recipes._binomial_product
+
+    def counted(exponents, top):
+        calls.append(dict(exponents))
+        return inner(exponents, top)
+
+    monkeypatch.setattr(recipes, "_binomial_product", counted)
+    return calls
+
+
+def _binomial_vector(rng):
+    """A random vector {(s, e): a} of 1 to 4 keys; a may be negative or 0."""
+    exponents, size = {}, rng.randint(1, 4)
+    while len(exponents) < size:
+        exponents[rng.choice((1, -1)), rng.randint(1, 5)] = rng.choice((0, rng.randint(-6, 6)))
+    return exponents
+
+
+def test_binomial_products_match_naive_products(rng, euler_calls, binomial_product_calls):
+    vectors = [_binomial_vector(rng) for _ in range(80)] + [
+        {(1, 1): 1, (-1, 1): 1, (1, 2): -1},  # (1-q)(1+q)/(1-q^2) = 1
+        {(1, 3): 5, (-1, 3): -2, (1, 1): 0},  # both signs at one e, and a zero power
+    ]
+    for exponents in vectors:
+        node = Mul(tuple(Pow(parse(f"1{'-' if s == 1 else '+'}q^{e}"), a)
+                         for (s, e), a in exponents.items()))
+        degree = sum(e for (s, e), a in exponents.items() if a)
+        # the recurrence runs through order 2 * degree, the EULER pass past it
+        for order, route in ((0, None), (1, None), (2 * degree - 1, euler_calls),
+                             (2 * degree, binomial_product_calls)):
+            if order < 0:
+                continue
+            expected = oracles.p_one(order)
+            for (s, e), a in exponents.items():
+                expected = oracles.p_mul(expected, _naive_power(oracles.p_binom(s, e, order), a))
+            before = None if route is None else len(route)
+            assert list(evaluate(node, order).coeffs) == expected, (exponents, order)
+            if route is not None:
+                assert len(route) == before + 1, (exponents, order)
+    assert euler_calls and binomial_product_calls
+
+
+def test_recurrence_kernel_never_floors():
+    # q g' = q g has g = exp(q), whose g_2 = 1/2 is no integer
+    with pytest.raises(SeriesError, match=r"divide exactly at q\^2$"):
+        recipes._log_derivative_recurrence([1, 0], [0, 1], 1, 3)
+
+
+@pytest.mark.parametrize(
+    "target, digest",
+    [
+        ("(1-q)^1213*(1-q^2)^819/(1-q^3)^49", "a41b40e85bd1628e"),
+        ("(1-q^3)^1500*(1-q)^496/(1+q^2)^101", "35cf357bb4194c70"),
+    ],
+)
+def test_deep_binomial_products_match_pinned_output(capsys, target, digest):
+    # sha256 of the whole csv at order 1200, as the EULER pass printed it
+    code = main(["coeffs", "--target", "rational:" + target, "--order", "1200", "--csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_fold_keeps_the_signed_terms():

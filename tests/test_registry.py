@@ -100,6 +100,13 @@ def test_enumeration_cases_clamp_to_budget():
     assert bulk.order_checked == registry.ENUMERATION_DEFAULT_ORDER
 
 
+def test_clamp_notes_name_the_cap():
+    single = registry.verify("thm-1.2-a", 40)
+    assert single.notes.endswith("order clamped from 40 to the enumeration budget 30")
+    bulk = report_by_id(registry.verify_all(40), "thm-1.2-a")
+    assert bulk.notes.endswith("order clamped from 40 to the case's default order 24")
+
+
 def _poch_sign_flips(node):
     """Every copy of the recipe with one Poch leaf's argument sign flipped."""
     if isinstance(node, Poch):
