@@ -134,9 +134,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
         print("error: a coefficient has too many digits to print", file=sys.stderr)
         return 2
     if args.csv:
-        print("n,coefficient")
-        for n, c in enumerate(coeffs):
-            print(f"{n},{c}")
+        for n, c in enumerate(coeffs):  # rows in place: no second list of digits
+            coeffs[n] = f"{n},{c}"
+        print("\n".join(["n,coefficient", *coeffs]))
     elif args.json:
         print(
             json.dumps(

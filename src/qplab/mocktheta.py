@@ -1,23 +1,24 @@
 """Third-order mock theta functions omega, psi, nu in several guises.
 
-Each function is available through its defining q-series, through an
-alternative single-sum ("fine") representation, and for omega and nu through
-the smallest-part style sums ("ady") that tie them to restricted partitions:
+Each function is available through Watson's (1936) defining q-series, an
+alternative single-sum ("fine") representation, and for omega and nu the
+smallest-part style sums ("ady") that tie them to restricted partitions:
 
     omega(q) = sum_{n>=0} q^(2n^2+2n) / (q;q^2)_{n+1}^2
     psi(q)   = sum_{n>=1} q^(n^2) / (q;q^2)_n
-    nu(q)    = sum_{n>=0} (-q)^n (q;q^2)_n
+    nu(q)    = sum_{n>=0} q^(n(n+1)) / (-q;q^2)_{n+1}
 
 psi's sum is taken from n = 1 so that its constant term vanishes; the n = 0
 convention would add a constant 1 that none of its other representations
-carry.  The routes are computationally independent, which is what makes the
-cross-checks in the identity catalog meaningful.
+carry.  nu's "fine" form is Fine's sum_{n>=0} (-q)^n (q;q^2)_n.  The routes
+are computationally independent, which is what makes the cross-checks in the
+identity catalog meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 
 from .series import Series, idiv_one_minus, imul_one_minus
 from .qengine import Parameter, QEngineError, phi21, poch_infinite
@@ -130,28 +131,27 @@ def psi_fine(order: int) -> Series:
 
 
 def nu(order: int, sign: int = 1) -> Series:
-    """nu(q) (sign=+1) or nu(-q) (sign=-1) by the defining sum.
+    """nu(q) (sign=+1) or nu(-q) (sign=-1) by Watson's defining sum.
 
-    The -q evaluation is computed directly as sum q^n (-q;q^2)_n rather than
-    by flipping signs afterwards, so the two routes can be cross-checked.
-    The product (sign*q;q^2)_n is carried as one list through
-    q^(order - n), the part that lands within the order once multiplied
-    by q^n.
+    n(n+1) is even, so nu(-q) = sum q^(n(n+1)) / (q;q^2)_{n+1} is computed
+    directly, not by flipping signs afterwards, and the two can be compared.
+    1/(-sign*q;q^2)_{n+1} is carried as one list through q^(order - n(n+1)).
     """
     if sign not in (-1, 1):
         raise QEngineError("sign must be -1 or +1")
     total = [0] * (order + 1)
-    product = [1] + [0] * order
-    for n in range(order + 1):
-        # the n-th term is (-q)^n (q;q^2)_n at +q and q^n (-q;q^2)_n at -q
-        negative = sign == 1 and n % 2 == 1
-        total[n:] = map(sub if negative else add, total[n:], product)
-        imul_one_minus(product, sign, 2 * n + 1, order - n - 1)
+    inv = [1] + [0] * order
+    idiv_one_minus(inv, -sign, 1, order)  # 1/(-sign*q;q^2)_1
+    n = 0
+    while (shift := n * n + n) <= order:
+        total[shift:] = map(add, total[shift:], inv)
+        idiv_one_minus(inv, -sign, 2 * n + 3, order - (n + 1) * (n + 2))
+        n += 1
     return Series._trusted(total)
 
 
 def nu_fine(order: int, sign: int = 1) -> Series:
-    """nu through the generic 2phi1 evaluator instead of direct summation."""
+    """Fine's sum_{n>=0} (-q)^n (q;q^2)_n (1988, s. 26) by the 2phi1 evaluator."""
     return phi21(
         Parameter.monomial(1, sign),
         Parameter.monomial(2),

@@ -1,8 +1,10 @@
 import hashlib
+import math
 
 import pytest
 
-from qplab.series import Series
+from qplab import mocktheta
+from qplab.series import Series, idiv_one_minus
 from qplab.qengine import QEngineError
 from qplab.mocktheta import (
     MockThetaForm,
@@ -141,10 +143,53 @@ def _oracle(name, n):
     return oracles.nu_series(n, 1 if name == "nu" else -1)
 
 
-@pytest.mark.parametrize("n", (0, 1, 2, 3, 57))
-@pytest.mark.parametrize("name", LOOPS)
+#: orders up to 60 at which a defining sum's last term lands on the order
+#: (and nu's neighbours), where an off-by-one in a loop's top index shows
+EDGES = {
+    "omega": {2 * n * n + 2 * n for n in range(1, 6)},
+    "psi": {n * n for n in range(1, 8)},
+    "nu": {n * n + n + d for n in range(1, 8) for d in (-1, 0, 1)},
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "n"),
+    [
+        (name, n)
+        for name in LOOPS
+        for family in EDGES
+        if name.startswith(family)
+        for n in sorted({0, 1, 2, 3, 57} | EDGES[family])
+    ],
+)
 def test_loop_matches_oracle(name, n):
     assert LOOPS[name](n).coeffs == tuple(_oracle(name, n))
+
+
+def test_short_sums_call_the_kernel_about_sqrt_order_times(monkeypatch):
+    # Watson's sums have about sqrt(order) terms, one or two divisions each;
+    # a dense O(order) loop of kernel calls would be O(order^2) in all
+    order = 1200
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return idiv_one_minus(*args)
+
+    monkeypatch.setattr(mocktheta, "idiv_one_minus", counting)
+    bound = 2 * math.isqrt(order) + 4
+    for name in ("omega", "psi", "nu", "nu-neg"):
+        calls.clear()
+        LOOPS[name](order)
+        assert 0 < len(calls) <= bound, name
+
+
+def test_watson_nu_matches_ady_sum_deep():
+    # Watson's sum at -q against the partition-flavored sum, and the +q
+    # evaluation with its variable negated afterwards
+    ady = nu_ady(1200)
+    assert nu(1200, -1) == ady
+    assert nu(1200).negate_variable() == ady
 
 
 #: sha256 (first 16 hex digits) of the comma-joined coefficients at order
