@@ -1,7 +1,7 @@
 """Generating functions for the two-color families, derived in the q-engine.
 
 For the six anchored families the series is a genuine sum over the smallest
-part; E and F have no such decomposition and are plain Pochhammer products.
+part; E and F are plain Pochhammer products, each one exponent vector.
 Signed variants weight even parts (even blue parts for Tnu) by -1, which
 flips the sign of the corresponding Pochhammer arguments.
 """
@@ -55,8 +55,8 @@ def family_gf_series(name: str, signed: bool, order: int) -> Series:
     s = 1 if signed else -1
     if name == "E":
         # distinct per color, evens blue: (s q^2;q^2)_inf (-q;q^2)_inf^2
-        odd = Poch(Parameter.monomial(1, -1), 2).series(order)
-        return Poch(Parameter.monomial(2, s), 2).series(order) * odd * odd
+        odd = Poch(Parameter.monomial(1, -1), 2).product(order)
+        return (Poch(Parameter.monomial(2, s), 2).product(order) * odd**2).series(order)
     # F: evens blue with repetition: 1 / ((q;q^2)_inf^2 (-s q^2;q^2)_inf)
-    odd = Poch(Parameter.monomial(1), 2).series(order)
-    return (odd * odd * Poch(Parameter.monomial(2, -s), 2).series(order)).invert()
+    odd = Poch(Parameter.monomial(1), 2).product(order)
+    return ((odd**2 * Poch(Parameter.monomial(2, -s), 2).product(order)) ** -1).series(order)

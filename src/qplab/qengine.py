@@ -3,15 +3,22 @@
 All Pochhammer arguments here are signed monomials +-q^e or zero; that is the
 only shape the identity catalog ever needs, and it keeps every computation in
 plain integer power series.
+
+A product of binomials has one normal form, the exponent vector of Garvan's
+``prodmake``: const * q^shift * prod (1 - s*q^e)^a, kept as {(s, e): a} and
+evaluated in one pass by ``_Product.series``.  The recipe fold, families E
+and F and each smallest-part sum's starting product build one; a lone
+Pochhammer, the steps of the two sums and ``rational_series`` use the
+in-place binomial kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
-from .series import Series, idiv_one_minus, imul_one_minus
+from .series import Series, SeriesError, _non_unit, idiv_one_minus, imul_one_minus
 
 
 class QEngineError(ValueError):
@@ -121,6 +128,137 @@ class Poch:
         if self.length is None:
             return poch_infinite(self.a, self.step, order)
         return poch_finite(self.a, self.step, self.length, order)
+
+    def product(self, top: int) -> "_Product":
+        """The product through q^top as an exponent vector; errors are those of `exponents`."""
+        return _binomials(self.a.sign, self.exponents(top))
+
+
+# ----------------------------------------------------------------------
+# the exponent vector of a product of binomials
+
+class _Product:
+    """const * q^shift * prod (1 - s*q^e)^a over `exponents` {(s, e): a}, each e >= 1.
+
+    A plain class, not a dataclass: generating a dataclass's methods costs
+    import time that every CLI call pays.
+    """
+
+    __slots__ = ("const", "shift", "exponents")
+
+    def __init__(self, const: int = 1, shift: int = 0, exponents: Optional[dict] = None):
+        self.const, self.shift, self.exponents = const, shift, exponents or {}
+
+    def __mul__(self, other: "_Product") -> "_Product":
+        exponents = dict(self.exponents)
+        for key, a in other.exponents.items():
+            exponents[key] = exponents.get(key, 0) + a
+        return _Product(self.const * other.const, self.shift + other.shift, exponents)
+
+    def __pow__(self, k: int) -> "_Product":
+        """The k-th power; k < 0 raises series._non_unit's error unless const is +-1 and shift 0."""
+        if k < 0 and (self.shift or self.const not in (1, -1)):
+            raise _non_unit(0 if self.shift else self.const)
+        exponents = {key: a * k for key, a in self.exponents.items()}
+        return _Product(self.const ** abs(k), self.shift * k, exponents)
+
+    def series(self, order: int) -> Series:
+        """The product through q^order, by the pass with fewer multiplies, top = order - shift.
+
+        ``_binomial_product`` takes top * sum(e) over the binomials with a
+        nonzero power, the EULER transform (``_euler``) top^2 / 2.
+        """
+        top = order - self.shift
+        if top < 0 or not self.const:
+            return Series.zero(order)
+        degree = sum(e for (s, e), a in self.exponents.items() if a)
+        if 2 * degree <= top:
+            g = _binomial_product(self.exponents, top)
+        else:
+            g = _euler(self.exponents, top)
+        return Series._trusted([0] * self.shift + [self.const * x for x in g])
+
+
+def _binomials(sign: int, exponents: range) -> _Product:
+    """prod (1 - sign*q^e) over increasing `exponents`; at q^0 it is the constant 1 - sign."""
+    const = 1 - sign if exponents and exponents[0] == 0 else 1
+    return _Product(const, 0, {(sign, e): 1 for e in exponents if e})
+
+
+def _log_derivative_recurrence(d, p, g0: int, top: int) -> list[int]:
+    """The coefficients g_0..g_top of the series g with d q g' = p g and the given g_0.
+
+    d and p are polynomials of one length, with d_0 nonzero and p_0 = 0.
+    The coefficients of q^n give
+    n d_0 g_n = sum_{j>=1} (p_j + j d_j - n d_j) g_(n-j),
+    O(top) multiplies per tap j where d_j or p_j is nonzero.  Each division
+    is checked: a remainder raises SeriesError instead of being floored away.
+    """
+    d0 = d[0]
+    taps = [(j, p[j] + j * c, c) for j, c in enumerate(d) if j and (c or p[j])]
+    g = [0] * (top + 1)
+    g[0] = g0
+    for n in range(1, top + 1):
+        acc = 0
+        for j, a, c in taps:
+            if j > n:
+                break
+            acc += (a - n * c) * g[n - j]
+        g[n], remainder = divmod(acc, n * d0)
+        if remainder:
+            raise SeriesError(f"the recurrence does not divide exactly at q^{n}")
+    return g
+
+
+def _binomial_product(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
+    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, O(top * sum e).
+
+    With D = prod (1 - s*q^e), one factor per key with a nonzero a, and
+    P = sum a (-s e q^e) D / (1 - s*q^e), the product g has D q g' = P g
+    (g is D-finite: Stanley, Europ. J. Combin. 1, 1980).  So g takes the
+    kernel ``_log_derivative_recurrence`` with deg D = sum e taps.
+    """
+    keys = [(s, e, a) for (s, e), a in exponents.items() if a]
+    d = [1]
+    for s, e, _ in keys:
+        d += [0] * e
+        imul_one_minus(d, s, e, len(d) - 1)
+    p = [0] * len(d)
+    for s, e, a in keys:
+        quotient = d.copy()
+        idiv_one_minus(quotient, s, e, len(d) - 1)
+        for i in range(len(d) - e):
+            p[i + e] -= a * s * e * quotient[i]
+    return _log_derivative_recurrence(d, p, 1, top)
+
+
+def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
+    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, by the EULER transform.
+
+    The logarithmic derivative q g'/g = sum_n c_n q^n of the product g has
+    c_n = -sum_{(s,e): e | n} e * a * s^(n/e), and n g_n = sum_{k=1..n} c_k
+    g_(n-k) with g_0 = 1 (Bernstein & Sloane 1995): O(top^2) multiplies of
+    a small c_k by a coefficient, however many factors there are.  A signed
+    factor keeps its own terms, so a product that is 1 is still a sum over
+    divisors that cancels.  Each division is checked: a remainder raises
+    SeriesError instead of being floored away.  ``_Product.series`` takes
+    this pass for a dense vector, such as an infinite Pochhammer's, whose
+    binomials' degrees sum to more than top / 2.
+    """
+    c = [0] * (top + 1)
+    for (s, e), a in exponents.items():
+        for n in range(e, top + 1, e):
+            c[n] -= e * a * s ** (n // e)
+    g = [1]
+    if not any(c):  # the product is 1, as (-q;q)_inf (q;q^2)_inf is
+        return g + [0] * top
+    backwards = c[::-1]  # backwards[top - n:] is c_n, c_(n-1), ..., c_0
+    for n in range(1, top + 1):
+        g_n, remainder = divmod(sum(map(mul, backwards[top - n :], g)), n)
+        if remainder:
+            raise SeriesError(f"the EULER transform does not divide exactly at q^{n}")
+        g.append(g_n)
+    return g
 
 
 def rational_series(
@@ -239,13 +377,12 @@ class TermTemplate:
 
 
 def _rebuild(factors: Sequence[PochFactor], n: int, top: int) -> list[int]:
-    """The factor product at n through q^top, one binomial at a time."""
-    product = [1] + [0] * top
+    """The factor product at n through q^top: one vector, each denominator at power -1."""
+    product = _Product()
     for f in factors:
-        kernel = idiv_one_minus if f.denominator else imul_one_minus
-        for e in f.exponents(n, top):
-            kernel(product, f.sign, e, top)
-    return product
+        binomials = _binomials(f.sign, f.exponents(n, top))
+        product *= binomials ** -1 if f.denominator else binomials
+    return list(product.series(top).coeffs)
 
 
 def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int) -> bool:
@@ -272,15 +409,17 @@ def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int
 def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     """Evaluate a smallest-part sum; stops once the prefix passes the order.
 
-    The factor product P(n) is built at n = 0 from each factor's binomials
-    and then carried from one n to the next: P(n+1) is P(n) times the
-    binomials that join each factor and divided by those that leave it
-    (PochFactor.moves), one O(order) kernel call each.  When every factor's
+    The factor product P(n) is built at n = 0 from one exponent vector of
+    all the factors' binomials (``_rebuild``) and then carried from one n to
+    the next: P(n+1) is P(n) times the binomials that join each factor and
+    divided by those that leave it (PochFactor.moves), one O(order) kernel
+    call each.  When every factor's
     exp_slope is a multiple of its step, the shape of every catalog
     template, only a few binomials move per step and the sum costs
     O(order^2); any other factor swaps all of its binomials at each step.
     Where a binomial with exponent 0 would have to be divided out, P(n+1)
-    is rebuilt instead, which raises the kernels' non-unit error.
+    is rebuilt instead, which raises the non-unit error where a denominator
+    holds that binomial.
     P(n) is one list, kept only through q^(order - prefix(n)), the part
     that lands within the order once shifted by q^prefix(n).
     """

@@ -12,17 +12,14 @@ directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
 and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
 
-A ``Mul`` folds its product factors into one product form,
-const * q^shift * prod (1 - s*q^e)^a, kept as an exponent vector {(s, e): a}.
-A vector whose binomials have degrees summing to at most half the order is
-evaluated in one O(order * sum e) pass by the recurrence that its
-logarithmic derivative gives (``_binomial_product``), any other in one
-O(order^2) pass by the EULER transform (``_euler``).
+A ``Mul``, ``Inv`` or ``Pow`` folds into qengine's exponent vector
+(``qengine._Product``) and is evaluated by ``_Product.series`` in one pass.
 ``Poch`` factors, factors whose series has at most two terms c*q^m and
 +-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Inv``,
-``Pow`` or ``Mul`` of such factors fold; any other factor is evaluated and
-multiplied in afterwards.  Outside a ``Mul``, a ``Poch`` is expanded by the
-binomial kernels, an ``Inv`` by ``Series.invert`` and a ``Pow`` by ``_power``.
+``Pow`` or ``Mul`` of such factors fold; any other factor of a ``Mul`` is
+evaluated and multiplied in afterwards, an ``Inv`` of one is inverted by
+``Series.invert``, and a ``Pow`` of one is taken by ``_power``.  A lone
+``Poch`` is expanded by the binomial kernels.
 """
 
 from __future__ import annotations
@@ -31,18 +28,11 @@ import re
 import sys
 from dataclasses import dataclass
 from math import prod
-from operator import mul
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Union
 
-from .series import Series, SeriesError, _non_unit, idiv_one_minus, imul_one_minus
-from .qengine import (
-    Parameter,
-    Poch,
-    TermTemplate,
-    phi21,
-    rational_series,
-    sum_over_smallest,
-)
+from .series import Series, SeriesError
+from .qengine import _log_derivative_recurrence, _Product, Parameter, Poch, TermTemplate
+from .qengine import phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
 from . import partitions
 from .family_gf import family_gf_series
@@ -283,124 +273,6 @@ def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
     return _log_derivative_recurrence(f, p, f[0] ** abs(k), len(f) - 1)
 
 
-def _log_derivative_recurrence(d, p, g0: int, top: int) -> list[int]:
-    """The coefficients g_0..g_top of the series g with d q g' = p g and the given g_0.
-
-    d and p are polynomials of one length, with d_0 nonzero and p_0 = 0.
-    The coefficients of q^n give
-    n d_0 g_n = sum_{j>=1} (p_j + j d_j - n d_j) g_(n-j),
-    O(top) multiplies per tap j where d_j or p_j is nonzero.  Each division
-    is checked: a remainder raises SeriesError instead of being floored away.
-    """
-    d0 = d[0]
-    taps = [(j, p[j] + j * c, c) for j, c in enumerate(d) if j and (c or p[j])]
-    g = [0] * (top + 1)
-    g[0] = g0
-    for n in range(1, top + 1):
-        acc = 0
-        for j, a, c in taps:
-            if j > n:
-                break
-            acc += (a - n * c) * g[n - j]
-        g[n], remainder = divmod(acc, n * d0)
-        if remainder:
-            raise SeriesError(f"the recurrence does not divide exactly at q^{n}")
-    return g
-
-
-class _Product:
-    """const * q^shift * prod (1 - s*q^e)^a over `exponents` {(s, e): a}, each e >= 1.
-
-    A plain class, not a dataclass: generating a dataclass's methods costs
-    import time that every CLI call pays.
-    """
-
-    __slots__ = ("const", "shift", "exponents")
-
-    def __init__(self, const: int = 1, shift: int = 0, exponents: Optional[dict] = None):
-        self.const, self.shift, self.exponents = const, shift, exponents or {}
-
-    def __mul__(self, other: "_Product") -> "_Product":
-        exponents = dict(self.exponents)
-        for key, a in other.exponents.items():
-            exponents[key] = exponents.get(key, 0) + a
-        return _Product(self.const * other.const, self.shift + other.shift, exponents)
-
-    def __pow__(self, k: int) -> "_Product":
-        """The k-th power; const must be +-1, and shift 0 when k < 0."""
-        exponents = {key: a * k for key, a in self.exponents.items()}
-        return _Product(self.const ** abs(k), self.shift * k, exponents)
-
-    def series(self, order: int) -> Series:
-        """The product through q^order, by the pass with fewer multiplies.
-
-        A product of few binomials takes the recurrence of
-        ``_binomial_product``, top * sum(e) multiplies, and a dense one the
-        EULER transform (``_euler``), top^2 / 2, where top = order - shift
-        and the sum is over the binomials with a nonzero power.
-        """
-        top = order - self.shift
-        if top < 0 or not self.const:
-            return Series.zero(order)
-        degree = sum(e for (s, e), a in self.exponents.items() if a)
-        if 2 * degree <= top:
-            g = _binomial_product(self.exponents, top)
-        else:
-            g = _euler(self.exponents, top)
-        return Series._trusted([0] * self.shift + [self.const * x for x in g])
-
-
-def _binomial_product(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
-    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, O(top * sum e).
-
-    With D = prod (1 - s*q^e), one factor per key with a nonzero a, and
-    P = sum a (-s e q^e) D / (1 - s*q^e), the product g has D q g' = P g
-    (g is D-finite: Stanley, Europ. J. Combin. 1, 1980).  So g takes the
-    kernel ``_log_derivative_recurrence`` with deg D = sum e taps.
-    """
-    keys = [(s, e, a) for (s, e), a in exponents.items() if a]
-    d = [1]
-    for s, e, _ in keys:
-        d += [0] * e
-        imul_one_minus(d, s, e, len(d) - 1)
-    p = [0] * len(d)
-    for s, e, a in keys:
-        quotient = d.copy()
-        idiv_one_minus(quotient, s, e, len(d) - 1)
-        for i in range(len(d) - e):
-            p[i + e] -= a * s * e * quotient[i]
-    return _log_derivative_recurrence(d, p, 1, top)
-
-
-def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
-    """prod (1 - s*q^e)^a over {(s, e): a} through q^top, by the EULER transform.
-
-    The logarithmic derivative q g'/g = sum_n c_n q^n of the product g has
-    c_n = -sum_{(s,e): e | n} e * a * s^(n/e), and n g_n = sum_{k=1..n} c_k
-    g_(n-k) with g_0 = 1 (Bernstein & Sloane 1995): O(top^2) multiplies of
-    a small c_k by a coefficient, however many factors there are.  A signed
-    factor keeps its own terms, so a product that is 1 is still a sum over
-    divisors that cancels.  Each division is checked: a remainder raises
-    SeriesError instead of being floored away.  ``_Product.series`` takes
-    this pass for a dense vector, such as an infinite Pochhammer's, whose
-    binomials' degrees sum to more than top / 2.
-    """
-    c = [0] * (top + 1)
-    for (s, e), a in exponents.items():
-        for n in range(e, top + 1, e):
-            c[n] -= e * a * s ** (n // e)
-    g = [1]
-    if not any(c):
-        return g + [0] * top
-    backwards = c[::-1]  # backwards[top - n:] is c_n, c_(n-1), ..., c_0
-    for n in range(1, top + 1):
-        g_n, remainder = divmod(sum(map(mul, backwards[top - n :], g)), n)
-        if remainder:
-            raise SeriesError(f"the EULER transform does not divide exactly at q^{n}")
-        g.append(g_n)
-    return g
-
-
 def _as_product(s: Series) -> Union[_Product, Series]:
     """s as the product c*q^m*(1 - sign*q^e) when its terms are c*q^m and -sign*c*q^(m+e), or fewer.
 
@@ -426,16 +298,13 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
 
     Errors are those of evaluating the node: an infinite Pochhammer at +q^0
     raises from Poch.exponents, and inverting a product whose constant term
-    is not +-1 raises series._non_unit's error.  A power of a product whose
-    constant is not +-1, or a negative power of one with a shift, does not
-    fold and goes through _power.
+    is not +-1 raises series._non_unit's error from _Product.__pow__.  A
+    power of a product whose constant is not +-1 does not fold and goes
+    through _power.
     """
     kind = type(node)
     if kind is Poch:
-        exponents = node.exponents(order)
-        s = node.a.sign
-        const = 1 - s if exponents and exponents[0] == 0 else 1
-        return _Product(const, 0, {(s, e): 1 for e in exponents if e})
+        return node.product(order)
     if kind is Mul:
         product, rest = _Product(), []
         for f in node.factors:
@@ -447,20 +316,17 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
         return prod(rest, start=product.series(order)) if rest else product
     if kind is Inv:
         base = _fold(node.node, order)
-        if isinstance(base, Series):
-            return base.invert()
-        if base.shift or base.const not in (1, -1):
-            raise _non_unit(0 if base.shift else base.const)
-        return base ** -1
+        return base.invert() if isinstance(base, Series) else base ** -1
     if kind is Pow:
         base = _fold(node.node, order)
-        if isinstance(base, Series) or base.const not in (1, -1) or (node.k < 0 and base.shift):
-            return _power(_series(base, order), node.k, order)
+        if isinstance(base, Series) or base.const not in (1, -1):
+            return _power(base if isinstance(base, Series) else base.series(order), node.k, order)
         return base ** node.k
     return _as_product(evaluate(node, order))
 
 
-def _series(folded: Union[_Product, Series], order: int) -> Series:
+def _series(node: Union[Mul, Inv, Pow], order: int) -> Series:
+    folded = _fold(node, order)
     return folded if isinstance(folded, Series) else folded.series(order)
 
 
@@ -565,20 +431,12 @@ _RULES: dict[type, _Rule] = {
         _child,
     ),
     Mul: _Rule(
-        lambda n, order: _series(_fold(n, order), order),
+        _series,
         lambda n: " * ".join(f"({render(f)})" for f in n.factors),
         lambda n: n.factors,
     ),
-    Inv: _Rule(
-        lambda n, order: evaluate(n.node, order).invert(),
-        lambda n: f"1/({render(n.node)})",
-        _child,
-    ),
-    Pow: _Rule(
-        lambda n, order: _power(evaluate(n.node, order), n.k, order),
-        lambda n: f"({render(n.node)})^{n.k}",
-        _child,
-    ),
+    Inv: _Rule(_series, lambda n: f"1/({render(n.node)})", _child),
+    Pow: _Rule(_series, lambda n: f"({render(n.node)})^{n.k}", _child),
     NegVar: _Rule(
         lambda n, order: evaluate(n.node, order).negate_variable(),
         lambda n: f"[q -> -q]({render(n.node)})",

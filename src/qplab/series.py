@@ -17,11 +17,13 @@ coefficient products; sparse operands (step-k powers and Pochhammer
 products) stay there, as does anything short.  Both paths give the same
 integers.
 
-No product is formed for a single binomial (1 - c*q^e).  Every evaluator
-that multiplies or divides by one at a time, in ``qengine``, ``mocktheta``
-and ``partitions``, works on a plain list: ``imul_one_minus`` and
-``idiv_one_minus`` update it in place through a top index, and the evaluator
-builds one ``Series`` from it at the end, through the private
+No product is formed for a single binomial (1 - c*q^e), and a product of
+many at once is ``qengine``'s exponent vector.  Every evaluator that
+multiplies or divides by one at a time (a lone Pochhammer,
+``rational_series``, the steps of the sums in ``qengine`` and ``mocktheta``,
+and the tables of ``partitions``) works on a plain list: ``imul_one_minus``
+and ``idiv_one_minus`` update it in place through a top index, and the
+evaluator builds one ``Series`` from it at the end, through the private
 ``Series._trusted``, which skips the per-coefficient ``int`` coercion of
 ``Series(...)``.  The kernels also take e = 0, where the factor is the
 constant 1 - c.  ``mul_one_minus`` and ``div_one_minus`` are the same
@@ -355,7 +357,8 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
 #: residue classes mod the step, so that each part is a dense Kronecker
 #: product, measured no clear gain on such products either: at about
 #: 1,000-bit coefficients, Karatsuba on the parts costs about what the loop
-#: does.
+#: does.  A default ``verify --all`` still makes 8 such products, each a
+#: ``Phi21`` or a ``RationalGF`` times a folded product.
 KRONECKER_MIN_TERMS = 16
 
 

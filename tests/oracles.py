@@ -31,11 +31,13 @@ def p_add(a, b):
 def p_mul(a, b):
     n = min(len(a), len(b)) - 1
     out = [0] * (n + 1)
+    nonzero_b = [(j, y) for j, y in enumerate(b[: n + 1]) if y]
     for i in range(n + 1):
         if a[i]:
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += a[i] * b[j]
+            for j, y in nonzero_b:
+                if i + j > n:
+                    break
+                out[i + j] += a[i] * y
     return out
 
 
@@ -104,29 +106,41 @@ def phi21_series(a, b, c, step, z, n):
     return out
 
 
-def smallest_part_sum(prefix_slope, prefix_offset, factors, alternating, n):
-    """sum_k (+-1)^k q^(prefix_slope*k + prefix_offset) prod factors(k).
+def smallest_part_product(factors, k, n):
+    """prod factors(k) through q^n, or None where a denominator's constant term is not +-1.
 
     Each factor is (sign, slope, offset, step, length, denominator) for
     (sign*q^(slope*k + offset); q^step)_length, inverted when denominator is
     true; length is "n" (meaning k), "n+1", "inf" or a fixed integer.
     """
+    out = p_one(n)
+    for sign, slope, offset, step, length, denominator in factors:
+        e = slope * k + offset
+        if length == "inf":
+            f = p_poch_inf(sign, e, step, n)
+        else:
+            f = p_poch_fin(sign, e, step, {"n": k, "n+1": k + 1}.get(length, length), n)
+        if denominator:
+            if f[0] not in (1, -1):
+                return None
+            f = p_inv(f)
+        out = p_mul(out, f)
+    return out
+
+
+def smallest_part_sum(prefix_slope, prefix_offset, factors, alternating, n):
+    """sum_k (+-1)^k q^(prefix_slope*k + prefix_offset) prod factors(k).
+
+    The factors are those of smallest_part_product.
+    """
     out = [0] * (n + 1)
     k = 0
     while prefix_slope * k + prefix_offset <= n:
+        product = smallest_part_product(factors, k, n)
+        if product is None:
+            return None
         term = p_mono(prefix_slope * k + prefix_offset, n, -1 if alternating and k % 2 else 1)
-        for sign, slope, offset, step, length, denominator in factors:
-            e = slope * k + offset
-            if length == "inf":
-                f = p_poch_inf(sign, e, step, n)
-            else:
-                f = p_poch_fin(sign, e, step, {"n": k, "n+1": k + 1}.get(length, length), n)
-            if denominator:
-                if f[0] not in (1, -1):
-                    return None
-                f = p_inv(f)
-            term = p_mul(term, f)
-        out = p_add(out, term)
+        out = p_add(out, p_mul(term, product))
         k += 1
     return out
 

@@ -1,5 +1,7 @@
 import pytest
 
+from qplab import qengine
+from qplab.family_gf import family_gf_series
 from qplab.recipes import evaluate
 from qplab.series import Series, SeriesError
 from qplab.qengine import (
@@ -364,3 +366,77 @@ def test_unit_numerator_divided_out_is_rebuilt():
     expect = oracles.smallest_part_sum(1, 0, [(1, 1, 0, 1, "n+1", False)], False, 15)
     assert expect[0] == 0
     assert sum_over_smallest(template, 15) == Series(expect)
+
+
+# ----------------------------------------------------------------------
+# the exponent vector: a template's starting product and families E and F
+
+@pytest.mark.parametrize("product, c0", [(qengine._Product(2), 2), (qengine._Product(0), 0),
+                                         (qengine._Product(1, 3), 0)])
+def test_negative_power_of_a_non_unit_product_raises(product, c0):
+    with pytest.raises(SeriesError, match=f"^cannot invert a series with constant coefficient {c0}; "):
+        product ** -1
+
+
+def _start_or_error(factors, n, top):
+    """The oracle product of the factors at index n, or the message of the parent's error."""
+    plain = [(f.sign, f.exp_slope, f.exp_offset, f.step, f.length, f.denominator) for f in factors]
+    expect = oracles.smallest_part_product(plain, n, top)
+    if expect is not None:
+        return expect
+    # the first denominator with a binomial at q^0, which is the constant 1 - sign
+    c0 = next(1 - f.sign for f in factors if f.denominator and 0 in f.exponents(n, top))
+    return (f"cannot invert a series with constant coefficient {c0}; "
+            "only unit constants are invertible over the integers")
+
+
+def _check_start(factors, n, top):
+    expect = _start_or_error(factors, n, top)
+    if isinstance(expect, str):
+        with pytest.raises(SeriesError) as raised:
+            qengine._rebuild(factors, n, top)
+        assert str(raised.value) == expect, (factors, n, top)
+    else:
+        assert qengine._rebuild(factors, n, top) == expect, (factors, n, top)
+    return expect
+
+
+def test_template_start_matches_oracle_product(rng):
+    outcomes = set()
+    for _ in range(150):
+        factors = tuple(_draw_factor(rng) for _ in range(rng.randint(0, 4)))
+        top = rng.randint(0, 30)
+        for n in range(4):
+            expect = _check_start(factors, n, top)
+            outcomes.add("error" if isinstance(expect, str) else expect[0])
+    assert {"error", 0, 1, 2} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "factor, n, c0",
+    [
+        (PochFactor(1, 1, 0, 1, LENGTH_N_PLUS_1), 0, 0),  # (1; q)_1 = 0
+        (PochFactor(-1, 1, 0, 2, 3), 0, 2),  # (-1; q^2)_3 = 2 (1+q^2)(1+q^4)
+        (PochFactor(-1, 0, 0, 1, 2, True), 0, "error"),  # 1/(-1; q)_2 has the constant 1/2
+        (PochFactor(1, 0, 0, 1, LENGTH_N, True), 1, "error"),  # 1/(1; q)_1 divides by 0
+        (PochFactor(1, 0, 0, 1, LENGTH_N, True), 0, 1),  # 1/(1; q)_0 = 1
+    ],
+    ids=["zero", "doubling", "denominator-two", "denominator-zero", "empty-denominator"],
+)
+def test_template_start_at_exponent_zero(factor, n, c0):
+    factors = (factor, PochFactor(1, 1, 1, 1, LENGTH_INF, True))
+    expect = _check_start(factors, n, 12)
+    assert ("error" if isinstance(expect, str) else expect[0]) == c0
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_product_families_match_oracle_products(signed):
+    n = 400
+    s = 1 if signed else -1
+    # E = (s q^2;q^2)_inf (-q;q^2)_inf^2, F = 1 / ((q;q^2)_inf^2 (-s q^2;q^2)_inf)
+    minus_odd = oracles.p_poch_inf(-1, 1, 2, n)
+    e = oracles.p_mul(oracles.p_poch_inf(s, 2, 2, n), oracles.p_mul(minus_odd, minus_odd))
+    odd = oracles.p_poch_inf(1, 1, 2, n)
+    f = oracles.p_inv(oracles.p_mul(oracles.p_mul(odd, odd), oracles.p_poch_inf(-s, 2, 2, n)))
+    assert family_gf_series("E", signed, n) == Series(e)
+    assert family_gf_series("F", signed, n) == Series(f)

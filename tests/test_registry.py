@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from qplab import registry
+from qplab import qengine, registry
 from qplab.qengine import Poch
 from qplab.recipes import Mul
 from qplab.series import Comparison
@@ -134,6 +134,35 @@ def test_product_vs_product_cases_can_fail(monkeypatch, case_id, mutants):
             assert report.verdict == "FAIL", (side, mutant)
             killed += 1
     assert killed == mutants
+
+
+def test_every_case_on_the_exponent_vector_can_fail(monkeypatch):
+    # A fold mutant: each vector with a nonzero power comes out one too large
+    # at q^1.  A case whose evaluation uses such a vector must then mismatch;
+    # one that passes compares a vector with itself, and no fold error shows.
+    changed = []
+
+    def off_by_one(inner):
+        def mutant(exponents, top):
+            g = inner(exponents, top)
+            if top >= 1 and any(exponents.values()):
+                g[1] += 1
+                changed.append(exponents)
+            return g
+        return mutant
+
+    monkeypatch.setattr(qengine, "_euler", off_by_one(qengine._euler))
+    monkeypatch.setattr(qengine, "_binomial_product", off_by_one(qengine._binomial_product))
+    on_the_vector, passed = [], []
+    for case in registry.list_identities():
+        changed.clear()
+        report = registry.verify(case.id)
+        if changed:
+            on_the_vector.append(case.id)
+            if report.status != registry.STATUS_MISMATCH:
+                passed.append(case.id)
+    assert passed == []
+    assert len(on_the_vector) >= 49
 
 
 def test_pure_series_cases_take_requested_order():
