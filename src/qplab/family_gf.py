@@ -18,10 +18,9 @@ def _inf(sign: int, slope: int, offset: int, den: bool = False) -> PochFactor:
     return PochFactor(sign, slope, offset, 2, LENGTH_INF, den)
 
 
-def family_template(name: str, signed: bool) -> TermTemplate | None:
-    """The smallest-part template, or None for the product-form families."""
-    s = 1 if signed else -1
-    templates = {
+def _templates(s: int) -> dict[str, TermTemplate]:
+    """The smallest-part templates; s is 1 in the signed variants and -1 in the others."""
+    return {
         # q^(2n+1) (s q^(2n+2);q^2)_inf / (q^(2n+1);q^2)_inf^2
         "Tomega": TermTemplate(2, 1, (_inf(s, 2, 2), _inf(1, 2, 1, True), _inf(1, 2, 1, True))),
         # q^(2n+1) (-q^(2n+3);q^2)_inf (s q^(2n+2);q^2)_inf / (q^(2n+1);q^2)_inf
@@ -42,7 +41,14 @@ def family_template(name: str, signed: bool) -> TermTemplate | None:
             4, 2, (_inf(s, 2, 6), _inf(s, 2, 2), _inf(1, 2, 1, True), _inf(1, 2, 1, True))
         ),
     }
-    return templates.get(name)
+
+
+_TEMPLATES = {(name, s == 1): t for s in (1, -1) for name, t in _templates(s).items()}
+
+
+def family_template(name: str, signed: bool) -> TermTemplate | None:
+    """The smallest-part template, built once at import, or None for the product-form families."""
+    return _TEMPLATES.get((name, signed))
 
 
 def family_gf_series(name: str, signed: bool, order: int) -> Series:

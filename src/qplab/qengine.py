@@ -198,7 +198,7 @@ def _log_derivative_recurrence(d, p, g0: int, top: int) -> list[int]:
     taps = [(j, p[j] + j * c, c) for j, c in enumerate(d) if j and (c or p[j])]
     g = [0] * (top + 1)
     g[0] = g0
-    for n in range(1, top + 1):
+    for n in range(1, top + 1 if taps else 1):  # no taps: g is the constant g_0
         acc = 0
         for j, a, c in taps:
             if j > n:

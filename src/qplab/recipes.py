@@ -16,9 +16,10 @@ A ``Mul``, ``Inv`` or ``Pow`` folds into qengine's exponent vector
 (``qengine._Product``) and is evaluated by ``_Product.series`` in one pass.
 ``Poch`` factors, factors whose series has at most two terms c*q^m and
 +-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Inv``,
-``Pow`` or ``Mul`` of such factors fold; any other factor of a ``Mul`` is
-evaluated and multiplied in afterwards, an ``Inv`` of one is inverted by
-``Series.invert``, and a ``Pow`` of one is taken by ``_power``.  A lone
+``Pow`` or ``Mul`` of such factors fold; ``Inv(x)`` folds as ``Pow(x, -1)``.
+Any other factor of a ``Mul`` is evaluated and multiplied in afterwards,
+and a power of one, or of a product whose constant is not +-1, is taken by
+``_power``, which inverts through ``Series.invert`` when k < 0.  A lone
 ``Poch`` is expanded by the binomial kernels.
 """
 
@@ -297,10 +298,10 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
     """node as a _Product when it folds into one, else its series through the order.
 
     Errors are those of evaluating the node: an infinite Pochhammer at +q^0
-    raises from Poch.exponents, and inverting a product whose constant term
-    is not +-1 raises series._non_unit's error from _Product.__pow__.  A
-    power of a product whose constant is not +-1 does not fold and goes
-    through _power.
+    raises from Poch.exponents.  Inv(x) is Pow(x, -1); a negative power of a
+    non-unit raises series._non_unit's error, from _Product.__pow__ for a
+    shifted product with constant +-1 and from _power's Series.invert for
+    any other.
     """
     kind = type(node)
     if kind is Poch:
@@ -314,14 +315,11 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
             else:
                 product *= folded
         return prod(rest, start=product.series(order)) if rest else product
-    if kind is Inv:
-        base = _fold(node.node, order)
-        return base.invert() if isinstance(base, Series) else base ** -1
-    if kind is Pow:
-        base = _fold(node.node, order)
+    if kind is Inv or kind is Pow:
+        base, k = _fold(node.node, order), -1 if kind is Inv else node.k
         if isinstance(base, Series) or base.const not in (1, -1):
-            return _power(base if isinstance(base, Series) else base.series(order), node.k, order)
-        return base ** node.k
+            return _power(base if isinstance(base, Series) else base.series(order), k, order)
+        return base ** k
     return _as_product(evaluate(node, order))
 
 

@@ -7,15 +7,14 @@ are plain Python ints and therefore exact at any size; no floating point
 enters anywhere.
 
 Products take one of two paths.  When both operands, truncated to the
-smaller order and stripped of trailing zeros, have at least
-``KRONECKER_MIN_TERMS`` coefficients and at least 3/5 of them nonzero, the
+smaller order and stripped of trailing zeros, are dense (``_dense``: at
+least ``KRONECKER_MIN_TERMS`` coefficients, 3/5 of them nonzero), the
 product is one big-int multiply by Kronecker substitution: both are packed
 into ints, and CPython's Karatsuba multiplies them in about
 O((length * slot bits)^1.585) digit operations.  Otherwise a schoolbook loop
 over the nonzero terms of the sparser operand makes O(nonzeros * length)
-coefficient products; sparse operands (step-k powers and Pochhammer
-products) stay there, as does anything short.  Both paths give the same
-integers.
+coefficient products.  Both give the same integers; the comment on
+``KRONECKER_MIN_TERMS`` says which products take each and why both stay.
 
 No product is formed for a single binomial (1 - c*q^e), and a product of
 many at once is ``qengine``'s exponent vector.  Every evaluator that
@@ -143,11 +142,8 @@ class Series:
         """The product through the smaller order of the two operands.
 
         Both operands are truncated to that order and stripped of trailing
-        zeros.  When both are dense (at least ``KRONECKER_MIN_TERMS`` long
-        and 3/5 nonzero), the product is one big-int multiply by Kronecker
-        substitution (:func:`_kronecker`); otherwise a schoolbook loop runs
-        over the nonzero terms of the sparser operand, O(nonzeros * length)
-        coefficient products.
+        zeros.  Two dense ones (``_dense``) take :func:`_kronecker`, any
+        other pair :func:`_schoolbook` over the sparser one's nonzero terms.
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -347,18 +343,16 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
 # the two product paths behind Series.__mul__
 
 #: Kronecker substitution runs only when both trimmed operands are at least
-#: this long and at least 3/5 nonzero.  Shorter, packing costs more than the
-#: schoolbook loop saves (they break even near 14 small coefficients).
-#: Sparser, as a step-2 or step-3 operand (a half or a third nonzero) is,
-#: its zeros are packed into the big-int multiply too: at order 1200 a dense
-#: 1,208-bit (1-q)^1213 times the step-2 814-bit (1-q^2)^819 takes 0.44 s
-#: that way against 0.31 s in the schoolbook loop, and times the step-3
-#: 1/(1-q^3)^49 0.22 s against 0.10 s.  Splitting the dense operand into its
-#: residue classes mod the step, so that each part is a dense Kronecker
-#: product, measured no clear gain on such products either: at about
-#: 1,000-bit coefficients, Karatsuba on the parts costs about what the loop
-#: does.  A default ``verify --all`` still makes 8 such products, each a
-#: ``Phi21`` or a ``RationalGF`` times a folded product.
+#: this long and at least 3/5 nonzero (``_dense``).  Shorter, packing costs
+#: more than the loop saves (they break even near 14 small coefficients).
+#: A catalog pass, at the default orders or at 120, makes 17 products: 9
+#: take the loop (one operand is q, q^3 or a constant), 8 this path (a Phi21
+#: or RationalGF times a folded product, a RationalGF times a sum).  Binary
+#: powering in ``recipes._power`` needs this path: (1/(1-q)+1)^k at order
+#: 1200 takes 1.4 ms at k = 2 and 51 ms at k = 40, 83 ms and 1.0 s in the
+#: loop alone.  The 3/5 is a guess: at order 1200 (1-q^500)*(2-q)^1213 takes
+#: 0.9 ms in the loop against 417 ms here, but ((1-q^2)^-3+1)*((1-q)^-3+1)
+#: takes the loop at 46 ms where this path would take 2.1 ms.
 KRONECKER_MIN_TERMS = 16
 
 

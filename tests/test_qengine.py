@@ -1,7 +1,7 @@
 import pytest
 
 from qplab import qengine
-from qplab.family_gf import family_gf_series
+from qplab.family_gf import FAMILY_NAMES, family_gf_series, family_template
 from qplab.recipes import evaluate
 from qplab.series import Series, SeriesError
 from qplab.qengine import (
@@ -440,3 +440,12 @@ def test_product_families_match_oracle_products(signed):
     f = oracles.p_inv(oracles.p_mul(oracles.p_mul(odd, odd), oracles.p_poch_inf(-s, 2, 2, n)))
     assert family_gf_series("E", signed, n) == Series(e)
     assert family_gf_series("F", signed, n) == Series(f)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_family_templates_are_built_once(signed):
+    anchored = [name for name in FAMILY_NAMES if family_template(name, signed) is not None]
+    assert anchored == ["Tomega", "Tpsi", "Tnu", "A", "B", "C"]
+    for name in anchored:
+        assert family_template(name, signed) is family_template(name, signed)
+    assert family_template("Tomega", signed) != family_template("Tomega", not signed)

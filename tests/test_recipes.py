@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qplab import qengine, recipes
+from qplab import qengine, recipes, series
 from qplab.cli import main
 from qplab.mocktheta import MockThetaForm
 from qplab.qengine import LENGTH_INF, Parameter, Poch, PochFactor, QEngineError, TermTemplate
@@ -206,6 +206,20 @@ def test_power_of_a_binomial_takes_the_recurrence(recurrence_calls, binomial_pro
         assert got == tuple(_binomial_theorem(a, c, e, k, order)), text
     assert [f[:2] for f, k in recurrence_calls] == [(2, -1)]
     assert [v for v in binomial_product_calls if v] == [{(1, 1): 1213}, {(-1, 2): 819}, {(-1, 3): -49}]
+
+
+def test_dense_powers_take_the_kronecker_product(monkeypatch):
+    # 1/(1-q) + 1 = 2 + q + q^2 + ...: dense, so binary powering multiplies
+    # two dense operands, which Series.__mul__ packs into one big-int product
+    calls = []
+    inner = series._kronecker
+    monkeypatch.setattr(series, "_kronecker", lambda a, b, size: calls.append(size) or inner(a, b, size))
+    closed_forms = {2: lambda n: n + 3, 3: lambda n: 6 + 3 * n + (n + 1) * (n + 2) // 2}
+    for k, closed in closed_forms.items():
+        before = len(calls)
+        got = evaluate(parse(f"(1/(1-q)+1)^{k}"), 300).coeffs
+        assert got == (2**k,) + tuple(closed(n) for n in range(1, 301)), k
+        assert len(calls) > before, k
 
 
 def test_power_at_k_zero_and_order_zero(recurrence_calls):
@@ -407,6 +421,17 @@ def test_recurrence_kernel_never_floors():
         qengine._log_derivative_recurrence([1, 0], [0, 1], 1, 3)
 
 
+def test_recurrence_kernel_without_taps_divides_nothing(monkeypatch):
+    # an empty vector, such as a power of q^3, has D = 1 and P = 0: g is g_0
+    calls = []
+    monkeypatch.setattr(qengine, "divmod", lambda a, b: calls.append(a) or divmod(a, b), raising=False)
+    assert qengine._log_derivative_recurrence([1, 0, 0], [0, 0, 0], 7, 1200) == [7] + [0] * 1200
+    assert calls == []
+    # with a tap, every coefficient is one checked division: 1 - q
+    assert qengine._log_derivative_recurrence([1, -1], [0, -1], 1, 5) == [1, -1, 0, 0, 0, 0]
+    assert len(calls) == 5
+
+
 @pytest.mark.parametrize(
     "target, digest",
     [
@@ -460,6 +485,16 @@ def test_fold_inverts_a_non_unit_with_the_same_error(node, c0, order):
     for inverse in (Inv(node), Mul((Poch(Parameter.monomial(1), 1), Inv(node)))):
         with pytest.raises(SeriesError, match=message):
             evaluate(inverse, order)
+
+
+@pytest.mark.parametrize("text", ["1+q+q^2", "1-q+2*q^3"])
+@pytest.mark.parametrize("order", [0, 1, 40])
+def test_fold_inverts_as_the_power_minus_one(text, order):
+    # a unit base that folds only at low orders, where it has at most two terms
+    base = parse(text)
+    expected = oracles.p_inv(list(evaluate(base, order).coeffs))
+    assert list(evaluate(Inv(base), order).coeffs) == expected
+    assert list(evaluate(Pow(base, -1), order).coeffs) == expected
 
 
 def test_fold_keeps_the_infinite_q0_error():

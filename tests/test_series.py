@@ -215,6 +215,21 @@ def test_mul_fills_the_kronecker_slot(rng, k):
             assert abs(product[-1]).bit_length() == k + j + m
 
 
+def test_sparse_times_dense_takes_the_schoolbook_loop(monkeypatch):
+    # (1-q^100) has two terms, so the 3/5 density rule keeps the product of it
+    # and the dense (2-q)^300 in the loop, O(2 * 300) products
+    calls = []
+    for name in ("_kronecker", "_schoolbook"):
+        inner = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda a, b, size, _n=name, _f=inner: calls.append(_n) or _f(a, b, size))
+    sparse = oracles.p_binom(1, 100, 300)
+    dense = oracles.p_one(300)
+    for _ in range(300):
+        dense = oracles.p_mul(dense, [2, -1] + [0] * 299)
+    assert (Series(sparse) * Series(dense)).coeffs == tuple(oracles.p_mul(sparse, dense))
+    assert calls == ["_schoolbook"]
+
+
 # ----------------------------------------------------------------------
 # the in-place binomial kernels against the naive oracle
 
