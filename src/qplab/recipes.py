@@ -252,14 +252,14 @@ def _power(base: Series, k: int, order: int) -> Series:
         )
     if recurrence:
         return Series._trusted(_power_by_recurrence(base.coeffs, k))
-    out = Series.one(order)
+    out = None
     while k:
         if k & 1:
-            out = out * base
+            out = base if out is None else out * base
         k >>= 1
         if k:
             base = base * base
-    return out
+    return Series.one(order) if out is None else out
 
 
 def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
@@ -314,6 +314,8 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
                 rest.append(folded)
             else:
                 product *= folded
+        if rest and (product.const, product.shift, product.exponents) == (1, 0, {}):
+            return prod(rest[1:], start=rest[0])
         return prod(rest, start=product.series(order)) if rest else product
     if kind is Inv or kind is Pow:
         base, k = _fold(node.node, order), -1 if kind is Inv else node.k

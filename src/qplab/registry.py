@@ -50,7 +50,6 @@ from .recipes import (
 
 SERIES_DEFAULT_ORDER = 60
 ENUMERATION_DEFAULT_ORDER = 24
-ENUMERATION_BUDGET = partitions.DEFAULT_ENUMERATION_BUDGET
 
 NEGATIVE_CONTROL_ID = "deliberate-mismatch-selftest"
 
@@ -774,7 +773,7 @@ def _effective_order(case: IdentityCase, order: Optional[int], bulk: bool) -> tu
     if bulk:
         cap, name = case.default_order, "the case's default order"
     else:
-        cap, name = ENUMERATION_BUDGET, "the enumeration budget"
+        cap, name = partitions.DEFAULT_ENUMERATION_BUDGET, "the enumeration budget"
     if order > cap:
         return cap, f"order clamped from {order} to {name} {cap}"
     return order, ""

@@ -345,7 +345,7 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
 #: Kronecker substitution runs only when both trimmed operands are at least
 #: this long and at least 3/5 nonzero (``_dense``).  Shorter, packing costs
 #: more than the loop saves (they break even near 14 small coefficients).
-#: A catalog pass, at the default orders or at 120, makes 17 products: 9
+#: A catalog pass, at the default orders or at 120, makes 16 products: 8
 #: take the loop (one operand is q, q^3 or a constant), 8 this path (a Phi21
 #: or RationalGF times a folded product, a RationalGF times a sum).  Binary
 #: powering in ``recipes._power`` needs this path: (1/(1-q)+1)^k at order

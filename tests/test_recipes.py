@@ -497,6 +497,16 @@ def test_fold_inverts_as_the_power_minus_one(text, order):
     assert list(evaluate(Pow(base, -1), order).coeffs) == expected
 
 
+def test_inverse_makes_no_product(monkeypatch):
+    # neither the Mul nor binary powering at k = 1 multiplies the inverse by 1
+    products = []
+    inner = series.Series.__mul__
+    monkeypatch.setattr(series.Series, "__mul__", lambda a, b: products.append(b) or inner(a, b))
+    got = evaluate(parse("1/(1+q+q^2)"), 40).coeffs
+    assert list(got) == oracles.p_inv([1, 1, 1] + [0] * 38)
+    assert products == []
+
+
 def test_fold_keeps_the_infinite_q0_error():
     with pytest.raises(QEngineError, match="vanishes"):
         evaluate(Mul((Monomial(1), Poch(Parameter(1, 0), 1))), 5)

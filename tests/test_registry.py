@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from qplab import qengine, registry
+from qplab import partitions, qengine, registry
 from qplab.qengine import Poch
 from qplab.recipes import Mul
 from qplab.series import Comparison
@@ -92,7 +92,7 @@ def test_passing_is_monotone_in_order():
 
 def test_enumeration_cases_clamp_to_budget():
     report = registry.verify("thm-1.2-a", 40)
-    assert report.order_checked == registry.ENUMERATION_BUDGET
+    assert report.order_checked == partitions.DEFAULT_ENUMERATION_BUDGET
     assert "clamp" in report.notes
     report = registry.verify("thm-1.2-a", 30)
     assert report.order_checked == 30 and report.status == registry.STATUS_PASS
