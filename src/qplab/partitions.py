@@ -4,18 +4,21 @@ A family is described by a smallest-part anchor plus one rule per
 (color, parity) cell.  Three independent computations hang off that data:
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
-  value first and then one increasing run of the allowed (value, color)
-  slots, each taken with a copy count; the walk keeps each slot as one
-  integer rank, sorts the leaves' rank tuples once, and builds each
-  partition once from parts interned per call;
+  value first and then copy counts for the allowed (value, color) slots;
+  each slot is one integer rank, the choices from a slot on are lists of
+  rank tuples memoized per slot and remainder, the tuples are sorted once,
+  and each partition is built once from parts interned per call;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
   out the factor that leaves, which scales far beyond listing range; the
-  products, like the overpartition and ADY tables at the end, are one
-  integer list updated in place by the binomial kernels of
-  :mod:`qplab.series`;
+  products, like the ADY table at the end, are one integer list updated in
+  place by the binomial kernels of :mod:`qplab.series`;
 * the generating-function templates in :mod:`qplab.family_gf` re-derive the
   same series through the q-engine.
+
+The overpartition table at the end divides by a theta series instead, so it
+shares no product with families E and F, whose counts the catalog matches
+against it.
 
 The identity catalog compares these routes against each other, so keeping
 them structurally separate is the point, not an accident.
@@ -24,6 +27,7 @@ them structurally separate is the point, not an accident.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Optional
@@ -382,16 +386,23 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     by one rank, 2 * (n - value) + (1 if green else 0), so ascending ranks
     are the canonical order: larger value first, blue before green.  For
     each smallest value s (a single pass with s = None when the family
-    anchors none) the anchor ranks go on one shared stack and the allowed
-    cells become one row of slots (value, rank, distinct) sorted by value.
-    One recursion then takes an increasing run of slots, each with a copy
-    count, pushing the copies' ranks before it descends and popping them
-    after; each leaf keeps its ranks sorted as one key tuple.  The keys are
+    anchors none) the allowed cells become one row of slots (value, rank,
+    distinct) sorted by descending rank, so by ascending value.  The
+    completions of slot j and a remainder rem, every choice of copy counts
+    k from slot j on whose values sum to rem, are one list of rank tuples:
+    those of (j + 1, rem), then those of (j + 1, rem - k * value) with
+    (rank,) * k appended.  The slots after j rank lower, so each tuple is
+    ascending as built, and the lists are memoized on (j, rem) within one
+    s, so a tail of the row shared by many heads is built once.  The anchor
+    ranks, the largest of the row, go at the end of each completion of
+    (0, n - anchor weight); they are merged in only past a value-s slot
+    that outranks them (a green copy of s before a blue anchor).  The memo
+    is dropped as soon as the top list stands, the keys of all s are
     sorted once, which sorts them exactly as `TwoColorPartition.sort_key`
-    would, and each becomes a partition of the 2n parts built once per call.
-    The listing grows like exp(c sqrt(n)), so n is held to the enumeration
-    budget before any listing work; it is the one bound on n in this
-    module, since the counts above take O(n^2).
+    would, and each key becomes a partition of the 2n parts built once per
+    call.  The listing grows like exp(c sqrt(n)), so n is held to the
+    enumeration budget before any listing work; it is the one bound on n in
+    this module, since its counts take at most O(n^2).
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
@@ -400,20 +411,23 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
             f"n {n} exceeds the enumeration budget {DEFAULT_ENUMERATION_BUDGET}"
         )
     keys: list[tuple[int, ...]] = []
-    stack: list[int] = []
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def pick(slots: list[tuple[int, int, bool]], i: int, rem: int) -> None:
+    def completions(slots: list[tuple[int, int, bool]], j: int, rem: int) -> list[tuple[int, ...]]:
         if rem == 0:
-            keys.append(tuple(sorted(stack)))
-            return
-        for j in range(i, len(slots)):
-            v, r, distinct = slots[j]
-            if v > rem:
-                break
-            for k in range(1, 2 if distinct else rem // v + 1):
-                stack.append(r)
-                pick(slots, j + 1, rem - k * v)
-            del stack[len(stack) - k:]
+            return [()]
+        if j == len(slots) or slots[j][0] > rem:
+            return []
+        out = memo.get((j, rem))
+        if out is not None:
+            return out
+        v, r, distinct = slots[j]
+        out = completions(slots, j + 1, rem)[:]
+        for k in range(1, 2 if distinct else rem // v + 1):
+            copies = (r,) * k
+            out += [t + copies for t in completions(slots, j + 1, rem - k * v)]
+        memo[(j, rem)] = out
+        return out
 
     def rank(v: int, color: str) -> int:
         return 2 * (n - v) + (1 if color == GREEN else 0)
@@ -424,36 +438,61 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
         remaining = n - (s or 0) * len(anchor_colors)
         if remaining < 0:
             break
-        stack[:] = [rank(s, color) for color in anchor_colors]
+        anchor = tuple(rank(s, color) for color in anchor_colors)
         slots = sorted(
-            (v, rank(v, color), spec.cell(color, parity).distinct)
-            for color, parity in _CELLS
-            if spec.cell(color, parity).allowed
-            for v in range(_cell_start(spec, color, parity, s), remaining + 1, 2)
+            (
+                (v, rank(v, color), spec.cell(color, parity).distinct)
+                for color, parity in _CELLS
+                if spec.cell(color, parity).allowed
+                for v in range(_cell_start(spec, color, parity, s), remaining + 1, 2)
+            ),
+            key=lambda slot: -slot[1],
         )
-        pick(slots, 0, remaining)
+        tails = completions(slots, 0, remaining)
+        memo.clear()
+        if not anchor:
+            keys += tails
+            continue
+        low = anchor[0]
+        for t in tails:
+            if t and t[-1] > low:
+                i = bisect_right(t, low)
+                keys.append(t[:i] + anchor + t[i:])
+            else:
+                keys.append(t + anchor)
     keys.sort()
     parts = [ColoredPart(n - r // 2, GREEN if r % 2 else BLUE) for r in range(2 * n)]
     return [TwoColorPartition._trusted([parts[r] for r in key]) for key in keys]
 
 
 # ----------------------------------------------------------------------
-# companion counts used by the catalog: O(n^2) tables, each one integer list
-# updated in place by the series binomial kernels, independent of the
-# q-engine routes the catalog compares them with
+# companion counts used by the catalog: integer tables of 0..n, independent
+# of the q-engine routes the catalog compares them with; the ADY table is
+# updated in place by the series binomial kernels
 
 def overpartition_counts(n: int, odd_only: bool = False) -> list[int]:
     """Overpartitions of 0..n, optionally restricted to odd parts.
 
-    The table is the product of (1 + q^k) / (1 - q^k) over the allowed part
-    sizes k <= n, two O(n) updates per k: O(n^2) in all.
+    The table is the theta reciprocal of Corteel and Lovejoy: the
+    overpartition series is 1/phi(-q) and the odd-part one
+    (-q; q^2)_inf / (q; q^2)_inf = phi(-q^2)/phi(-q), where
+    phi(-q) = 1 + 2 sum_{k >= 1} (-1)^k q^(k^2).  The table starts as the
+    numerator, 1 or phi(-q^2), and is divided by the sparse theta series
+    in place, g_m = num_m - 2 sum_{k >= 1} (-1)^k g_(m - k^2): about
+    sqrt(m) taps per entry, O(n^1.5) in all.
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
     table = [1] + [0] * n
-    for k in range(1, n + 1, 2 if odd_only else 1):
-        idiv_one_minus(table, 1, k, n)
-        imul_one_minus(table, -1, k, n)
+    if odd_only:
+        for k in range(1, math.isqrt(n // 2) + 1):
+            table[2 * k * k] = -2 if k % 2 else 2
+    odd, even = [], []  # the squares k^2 <= m of odd and of even k
+    for m in range(1, n + 1):
+        k = math.isqrt(m)
+        if k * k == m:
+            (odd if k % 2 else even).append(m)
+        table[m] += 2 * (sum([table[m - e] for e in odd]) - sum([table[m - e] for e in even]))
     return table
 
 

@@ -185,6 +185,31 @@ def test_overpartition_counts_match_products_at_large_n(odd_only):
     assert P.count_overpartitions(LARGE_N, odd_only) == expect[LARGE_N]
 
 
+@pytest.mark.parametrize("odd_only", (False, True))
+def test_overpartition_tables_match_products_for_every_n_through_80(odd_only):
+    # every table length from 1 to 81 crosses the theta taps at k^2 and the
+    # odd numerator's taps at 2k^2 (1, 2, 4, 8, 9, 18, 32, 49, 50, 72) in turn
+    step = 2 if odd_only else 1
+    expect = oracles.p_mul(
+        oracles.p_poch_inf(-1, 1, step, 80),
+        oracles.p_inv(oracles.p_poch_inf(1, 1, step, 80)),
+    )
+    for n in range(0, 81):
+        assert P.overpartition_counts(n, odd_only) == expect[: n + 1], n
+
+
+def test_overpartition_counts_share_no_kernel_with_the_cell_products(monkeypatch):
+    # families E and F are matched against these counts, so the table must
+    # come from another formula than their (1 + q^k)/(1 - q^k) products
+    def refuse(*args):
+        raise AssertionError("binomial kernel called")
+
+    monkeypatch.setattr(P, "imul_one_minus", refuse)
+    monkeypatch.setattr(P, "idiv_one_minus", refuse)
+    assert P.count_overpartitions(24) == oracles.overpartition_count(24)
+    assert P.count_overpartitions(24, odd_only=True) == oracles.overpartition_count(24, True)
+
+
 def test_counts_at_n_900_need_no_deep_recursion():
     code = (
         "from qplab.partitions import count_ady, count_overpartitions\n"
