@@ -194,8 +194,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         name = args.family
         print(f"{name}0={x0} {name}1={x1} {name}2={x2} {name}3={x3}")
     if args.list:
-        for partition in partitions.enumerate_family(spec, args.n):
-            print(partition.text())
+        sys.stdout.writelines(f"{p.text()}\n" for p in partitions.enumerate_family(spec, args.n))
     return 0
 
 

@@ -1,10 +1,12 @@
 """Two-color partition families: declarative rules, enumeration and counting.
 
-A family is described by a smallest-part anchor plus one rule per
-(color, parity) cell.  Three independent computations hang off that data:
+A family is one table: the colors that hold its odd smallest part (none
+for an unanchored family) and the (color, parity) cells it allows, each
+distinct or not and starting at an offset from the smallest part.  Three
+independent computations hang off that table:
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
-  value first and then copy counts for the allowed (value, color) slots;
+  value first and then copy counts for the (value, color) slots of its cells;
   each slot is one integer rank, the choices from a slot on are lists of
   rank tuples memoized per slot and remainder, the tuples are sorted once,
   and each partition is built once from parts interned per call;
@@ -47,6 +49,7 @@ WEIGHT_NONE = "none"
 WEIGHT_EVEN_PARTS = "even_parts"
 WEIGHT_EVEN_BLUE_PARTS = "even_blue_parts"
 WEIGHT_ALL_PARTS = "all_parts"
+WEIGHT_MODES = (WEIGHT_NONE, WEIGHT_EVEN_PARTS, WEIGHT_EVEN_BLUE_PARTS, WEIGHT_ALL_PARTS)
 
 
 class PartitionError(ValueError):
@@ -127,152 +130,78 @@ class TwoColorPartition:
         return f"TwoColorPartition({self.text() or 'empty'})"
 
 
-def partition_weight(partition: TwoColorPartition, mode: str) -> int:
-    """The +-1 weight a partition contributes under the given counting mode."""
-    if mode == WEIGHT_NONE:
-        return 1
-    if mode == WEIGHT_EVEN_PARTS:
-        return -1 if partition.count(parity=EVEN) % 2 else 1
-    if mode == WEIGHT_EVEN_BLUE_PARTS:
-        return -1 if partition.count(color=BLUE, parity=EVEN) % 2 else 1
-    if mode == WEIGHT_ALL_PARTS:
-        return -1 if len(partition.parts) % 2 else 1
-    raise PartitionError(f"unknown weight mode {mode!r}")
-
-
 @dataclass(frozen=True)
-class CellRule:
-    """What one (color, parity) cell of a family permits.
+class Cell:
+    """One (color, parity) cell a family allows.
 
-    `min_offset` positions the cell's minimum at smallest+offset for anchored
-    families; unanchored families use the absolute minimum of the parity.
+    A distinct cell holds each value at most once.  In an anchored family the
+    cell's values start at smallest + `min_offset`; in an unanchored one they
+    start at the least value of the parity, 1 or 2.
     """
 
-    allowed: bool = False
+    color: str
+    parity: str
     distinct: bool = False
     min_offset: int = 0
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """Requires the smallest value to be odd and held by specific colors."""
-
-    colors: tuple[str, ...] = (BLUE,)
-    blue_exactly_one: bool = False
-
-
-@dataclass(frozen=True)
 class FamilySpec:
+    """A family: the colors holding its odd smallest part, and its cells.
+
+    `anchor` is () when the family has no smallest-part rule; `cells` lists
+    only the cells the family allows, and a part outside them is forbidden.
+    """
+
     name: str
-    anchor: Optional[Anchor]
-    blue_odd: CellRule
-    blue_even: CellRule
-    green_odd: CellRule
-    green_even: CellRule
+    anchor: tuple[str, ...]
+    cells: tuple[Cell, ...]
     weight: str = WEIGHT_EVEN_PARTS
-
-    def cell(self, color: str, parity: str) -> CellRule:
-        return {
-            (BLUE, ODD): self.blue_odd,
-            (BLUE, EVEN): self.blue_even,
-            (GREEN, ODD): self.green_odd,
-            (GREEN, EVEN): self.green_even,
-        }[(color, parity)]
-
-
-_CELLS = ((BLUE, ODD), (BLUE, EVEN), (GREEN, ODD), (GREEN, EVEN))
 
 
 FAMILIES: dict[str, FamilySpec] = {
     # all parts distinct within each color, even parts blue only
-    "E": FamilySpec(
-        "E",
-        None,
-        blue_odd=CellRule(True, True),
-        blue_even=CellRule(True, True),
-        green_odd=CellRule(True, True),
-        green_even=CellRule(False),
-    ),
+    "E": FamilySpec("E", (), (
+        Cell(BLUE, ODD, True), Cell(BLUE, EVEN, True), Cell(GREEN, ODD, True),
+    )),
     # even parts blue only, repetition free-for-all
-    "F": FamilySpec(
-        "F",
-        None,
-        blue_odd=CellRule(True, False),
-        blue_even=CellRule(True, False),
-        green_odd=CellRule(True, False),
-        green_even=CellRule(False),
-    ),
+    "F": FamilySpec("F", (), (Cell(BLUE, ODD), Cell(BLUE, EVEN), Cell(GREEN, ODD))),
     # evens blue and distinct, smallest odd and blue
-    "Tomega": FamilySpec(
-        "Tomega",
-        Anchor(),
-        blue_odd=CellRule(True, False, 0),
-        blue_even=CellRule(True, True, 1),
-        green_odd=CellRule(True, False, 0),
-        green_even=CellRule(False),
-    ),
-    # additionally the blue odds are distinct
-    "Tpsi": FamilySpec(
-        "Tpsi",
-        Anchor(blue_exactly_one=True),
-        blue_odd=CellRule(True, True, 0),
-        blue_even=CellRule(True, True, 1),
-        green_odd=CellRule(True, False, 0),
-        green_even=CellRule(False),
-    ),
+    "Tomega": FamilySpec("Tomega", (BLUE,), (
+        Cell(BLUE, ODD), Cell(BLUE, EVEN, True, 1), Cell(GREEN, ODD),
+    )),
+    # additionally the blue odds are distinct: the others start 2 above it
+    "Tpsi": FamilySpec("Tpsi", (BLUE,), (
+        Cell(BLUE, ODD, True, 2), Cell(BLUE, EVEN, True, 1), Cell(GREEN, ODD),
+    )),
     # odds blue only, evens distinct in each color, weighted by even blues
-    "Tnu": FamilySpec(
-        "Tnu",
-        Anchor(),
-        blue_odd=CellRule(True, False, 0),
-        blue_even=CellRule(True, True, 1),
-        green_odd=CellRule(False),
-        green_even=CellRule(True, True, 1),
-        weight=WEIGHT_EVEN_BLUE_PARTS,
-    ),
+    "Tnu": FamilySpec("Tnu", (BLUE,), (
+        Cell(BLUE, ODD), Cell(BLUE, EVEN, True, 1), Cell(GREEN, EVEN, True, 1),
+    ), WEIGHT_EVEN_BLUE_PARTS),
     # smallest odd with a blue copy, even blues at least 3 above it
-    "A": FamilySpec(
-        "A",
-        Anchor(),
-        blue_odd=CellRule(True, False, 0),
-        blue_even=CellRule(True, True, 3),
-        green_odd=CellRule(True, False, 0),
-        green_even=CellRule(True, True, 1),
-    ),
+    "A": FamilySpec("A", (BLUE,), (
+        Cell(BLUE, ODD), Cell(BLUE, EVEN, True, 3), Cell(GREEN, ODD),
+        Cell(GREEN, EVEN, True, 1),
+    )),
     # smallest odd exactly once in blue, other blue odds 2 above it,
     # even blues 4 above it (hence 5 by parity)
-    "B": FamilySpec(
-        "B",
-        Anchor(blue_exactly_one=True),
-        blue_odd=CellRule(True, False, 2),
-        blue_even=CellRule(True, True, 5),
-        green_odd=CellRule(True, False, 0),
-        green_even=CellRule(True, True, 1),
-    ),
+    "B": FamilySpec("B", (BLUE,), (
+        Cell(BLUE, ODD, False, 2), Cell(BLUE, EVEN, True, 5), Cell(GREEN, ODD),
+        Cell(GREEN, EVEN, True, 1),
+    )),
     # smallest odd in both colors, even blues at least 5 above it
-    "C": FamilySpec(
-        "C",
-        Anchor(colors=(BLUE, GREEN)),
-        blue_odd=CellRule(True, False, 0),
-        blue_even=CellRule(True, True, 5),
-        green_odd=CellRule(True, False, 0),
-        green_even=CellRule(True, True, 1),
-    ),
+    "C": FamilySpec("C", (BLUE, GREEN), (
+        Cell(BLUE, ODD), Cell(BLUE, EVEN, True, 5), Cell(GREEN, ODD),
+        Cell(GREEN, EVEN, True, 1),
+    )),
 }
 
 
-def _cell_start(spec: FamilySpec, color: str, parity: str, smallest: Optional[int]) -> int:
-    """Minimum value the cell's generator may use (anchor copies excluded)."""
-    rule = spec.cell(color, parity)
-    if spec.anchor is None or smallest is None:
-        return 1 if parity == ODD else 2
-    start = smallest + rule.min_offset
-    anchored_here = parity == ODD and color in spec.anchor.colors
-    repeat_forbidden = rule.distinct or (color == BLUE and spec.anchor.blue_exactly_one)
-    if anchored_here and repeat_forbidden and start <= smallest:
-        # the anchor already holds this value and it must not recur
-        start = smallest + 2
-    return start
+def _cell_start(cell: Cell, smallest: Optional[int]) -> int:
+    """Least value the cell may use besides the anchor copies (None: unanchored)."""
+    if smallest is None:
+        return 1 if cell.parity == ODD else 2
+    return smallest + cell.min_offset
 
 
 def _part_weight(mode: str, color: str, value: int) -> int:
@@ -297,14 +226,11 @@ def _part_factor(table: list[int], v: int, w: int, distinct: bool, top: int) -> 
 
 
 def _cell_product(spec: FamilySpec, smallest: Optional[int], order: int, mode: str) -> list[int]:
-    """Product of per-value factors over all four cells, through q^order."""
+    """Product of per-value factors over the family's cells, through q^order."""
     out = [1] + [0] * order
-    for color, parity in _CELLS:
-        rule = spec.cell(color, parity)
-        if not rule.allowed:
-            continue
-        for v in range(_cell_start(spec, color, parity, smallest), order + 1, 2):
-            _part_factor(out, v, _part_weight(mode, color, v), rule.distinct, order)
+    for cell in spec.cells:
+        for v in range(_cell_start(cell, smallest), order + 1, 2):
+            _part_factor(out, v, _part_weight(mode, cell.color, v), cell.distinct, order)
     return out
 
 
@@ -332,26 +258,26 @@ def family_series(
         raise PartitionError(
             f"order {order} exceeds the enumeration budget {budget}"
         )
-    if mode not in (WEIGHT_NONE, WEIGHT_EVEN_PARTS, WEIGHT_EVEN_BLUE_PARTS, WEIGHT_ALL_PARTS):
+    if mode not in WEIGHT_MODES:
         raise PartitionError(f"unknown weight mode {mode!r}")
-    if spec.anchor is None:
+    if not spec.anchor:
         return Series._trusted(_cell_product(spec, None, order, mode))
     accumulate = add
-    if mode == WEIGHT_ALL_PARTS and len(spec.anchor.colors) % 2 == 1:
+    if mode == WEIGHT_ALL_PARTS and len(spec.anchor) % 2 == 1:
         accumulate = sub
     total = [0] * (order + 1)
     prod = None
     s = 1
-    while (base := s * len(spec.anchor.colors)) <= order:
+    while (base := s * len(spec.anchor)) <= order:
         top = order - base
         if prod is None:
             prod = _cell_product(spec, s, top, mode)
         else:
-            for color, parity in _CELLS:
-                rule = spec.cell(color, parity)
-                v = _cell_start(spec, color, parity, s - 2)
-                if rule.allowed and v <= top:
-                    _part_factor(prod, v, -_part_weight(mode, color, v), not rule.distinct, top)
+            for cell in spec.cells:
+                v = _cell_start(cell, s - 2)
+                if v <= top:
+                    w = -_part_weight(mode, cell.color, v)
+                    _part_factor(prod, v, w, not cell.distinct, top)
         # total[base:] has top + 1 entries, so map reads prod[:top+1] only
         total[base:] = map(accumulate, total[base:], prod)
         s += 2
@@ -386,7 +312,7 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     by one rank, 2 * (n - value) + (1 if green else 0), so ascending ranks
     are the canonical order: larger value first, blue before green.  For
     each smallest value s (a single pass with s = None when the family
-    anchors none) the allowed cells become one row of slots (value, rank,
+    anchors none) the family's cells become one row of slots (value, rank,
     distinct) sorted by descending rank, so by ascending value.  The
     completions of slot j and a remainder rem, every choice of copy counts
     k from slot j on whose values sum to rem, are one list of rank tuples:
@@ -432,19 +358,17 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     def rank(v: int, color: str) -> int:
         return 2 * (n - v) + (1 if color == GREEN else 0)
 
-    smallest_values = [None] if spec.anchor is None else range(1, n + 1, 2)
+    smallest_values = range(1, n + 1, 2) if spec.anchor else [None]
     for s in smallest_values:
-        anchor_colors = () if s is None else spec.anchor.colors
-        remaining = n - (s or 0) * len(anchor_colors)
+        remaining = n - (s or 0) * len(spec.anchor)
         if remaining < 0:
             break
-        anchor = tuple(rank(s, color) for color in anchor_colors)
+        anchor = tuple(rank(s, color) for color in spec.anchor)
         slots = sorted(
             (
-                (v, rank(v, color), spec.cell(color, parity).distinct)
-                for color, parity in _CELLS
-                if spec.cell(color, parity).allowed
-                for v in range(_cell_start(spec, color, parity, s), remaining + 1, 2)
+                (v, rank(v, cell.color), cell.distinct)
+                for cell in spec.cells
+                for v in range(_cell_start(cell, s), remaining + 1, 2)
             ),
             key=lambda slot: -slot[1],
         )

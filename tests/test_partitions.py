@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from qplab.qengine import Parameter, poch_infinite
 from qplab.mocktheta import nu, omega
 from qplab.family_gf import family_gf_series
 from qplab import partitions as P
+from qplab import recipes
 
 import oracles
 
@@ -42,7 +44,7 @@ def test_counts_match_enumeration_weights(name):
         members = P.enumerate_family(spec, n)
         for use_weight in (False, True):
             mode = spec.weight if use_weight else P.WEIGHT_NONE
-            total = sum(P.partition_weight(tc, mode) for tc in members)
+            total = sum(oracles.weight(canonical_pairs(tc), mode) for tc in members)
             assert total == P.count_family(spec, n, use_weight=use_weight)
 
 
@@ -52,7 +54,7 @@ def test_enumeration_matches_generating_function_beyond_the_oracle(name):
     for n in (17, 18):
         members = P.enumerate_family(spec, n)
         assert len(members) == family_gf_series(name, False, n).coeff(n)
-        signed = sum(P.partition_weight(tc, spec.weight) for tc in members)
+        signed = sum(oracles.weight(canonical_pairs(tc), spec.weight) for tc in members)
         assert signed == family_gf_series(name, True, n).coeff(n)
 
 
@@ -233,6 +235,39 @@ def test_count_tables_reject_bad_arguments():
         P.count_ady(-1, distinct=True)
     with pytest.raises(P.PartitionError, match="zero part"):
         P.ady_counts(5, distinct=False, allow_zero_part=True)
+
+
+# ----------------------------------------------------------------------
+# the family table
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_family_specs_and_count_nodes_hash_and_equal_themselves(name):
+    # the tracer's repeat keys hash (spec, order, mode) and the recipe nodes
+    spec = P.FAMILIES[name]
+    copy = dataclasses.replace(spec)
+    assert spec.name == name
+    assert copy == spec and hash(copy) == hash(spec)
+    for mode in P.WEIGHT_MODES:
+        node = recipes.FamilyCounts(name, mode)
+        assert node == recipes.FamilyCounts(name, mode)
+        assert hash(node) == hash(recipes.FamilyCounts(name, mode))
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_family_cells_carry_the_anchor_rule(name):
+    spec = P.FAMILIES[name]
+    assert spec.weight in P.WEIGHT_MODES
+    assert set(spec.anchor) <= {P.BLUE, P.GREEN}
+    assert len({(c.color, c.parity) for c in spec.cells}) == len(spec.cells)
+    for cell in spec.cells:
+        if cell.distinct and cell.parity == P.ODD and cell.color in spec.anchor:
+            # the anchor holds the smallest value, which this cell may not repeat
+            assert cell.min_offset >= 2, f"{name}: {cell}"
+
+
+def test_family_series_rejects_an_unknown_mode():
+    with pytest.raises(P.PartitionError, match="^unknown weight mode 'odd_parts'$"):
+        P.family_series(P.FAMILIES["E"], 5, "odd_parts")
 
 
 # ----------------------------------------------------------------------
