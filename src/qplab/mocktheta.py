@@ -17,18 +17,16 @@ identity catalog meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .series import Series, idiv_one_minus, imul_one_minus
+from .series import Series, _Record, idiv_one_minus, imul_one_minus
 from .qengine import Parameter, QEngineError, phi21, poch_infinite
 
 FUNCTIONS = ("omega", "psi", "nu")
 FORMS = ("defining", "fine", "ady")
 
 
-@dataclass(frozen=True)
-class MockThetaForm:
+class MockThetaForm(_Record):
     """Selects a mock theta function, a computation route and the argument sign.
 
     The ady route exists only for omega at +q (where it equals q*omega(q))

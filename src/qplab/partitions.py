@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Optional
 
-from .series import Series, idiv_one_minus, imul_one_minus
+from .series import Series, _Record, idiv_one_minus, imul_one_minus
 
 BLUE = "b"
 GREEN = "g"
@@ -56,8 +55,7 @@ class PartitionError(ValueError):
     """Raised for requests outside a family's range or, for the listing, the budget's."""
 
 
-@dataclass(frozen=True)
-class ColoredPart:
+class ColoredPart(_Record):
     value: int
     color: str
 
@@ -130,8 +128,7 @@ class TwoColorPartition:
         return f"TwoColorPartition({self.text() or 'empty'})"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Record):
     """One (color, parity) cell a family allows.
 
     A distinct cell holds each value at most once.  In an anchored family the
@@ -145,8 +142,7 @@ class Cell:
     min_offset: int = 0
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A family: the colors holding its odd smallest part, and its cells.
 
     `anchor` is () when the family has no smallest-part rule; `cells` lists

@@ -14,19 +14,17 @@ in-place binomial kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
-from .series import Series, SeriesError, _non_unit, idiv_one_minus, imul_one_minus
+from .series import Series, SeriesError, _non_unit, _Record, idiv_one_minus, imul_one_minus
 
 
 class QEngineError(ValueError):
     """Raised for arguments outside the supported monomial calculus."""
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(_Record):
     """A Pochhammer argument: zero, or sign * q^exponent.
 
     `sign == 0` encodes the zero parameter; otherwise sign is +-1 and the
@@ -108,8 +106,7 @@ def _expand(poch: Poch, order: int) -> Series:
     return Series._trusted(out)
 
 
-@dataclass(frozen=True)
-class Poch:
+class Poch(_Record):
     """The Pochhammer product (a; q^step)_length (None: infinite) over `exponents`."""
 
     a: Parameter
@@ -140,8 +137,9 @@ class Poch:
 class _Product:
     """const * q^shift * prod (1 - s*q^e)^a over `exponents` {(s, e): a}, each e >= 1.
 
-    A plain class, not a dataclass: generating a dataclass's methods costs
-    import time that every CLI call pays.
+    A slotted class, not a ``series._Record``: it is an intermediate of the
+    fold that is never compared, hashed or shown, so it needs none of a
+    record's methods.
     """
 
     __slots__ = ("const", "shift", "exponents")
@@ -292,8 +290,7 @@ LENGTH_N_PLUS_1 = "n+1"
 LENGTH_INF = "inf"
 
 
-@dataclass(frozen=True)
-class PochFactor:
+class PochFactor(_Record):
     """One Pochhammer factor of a smallest-part summand.
 
     The argument is sign * q^(exp_slope*n + exp_offset) where n is the outer
@@ -325,9 +322,12 @@ class PochFactor:
 
     def _length(self, n: int) -> Optional[int]:
         """The Pochhammer length at index n; None means infinite."""
-        return {LENGTH_INF: None, LENGTH_N: n, LENGTH_N_PLUS_1: n + 1}.get(
-            self.length, self.length
-        )
+        length = self.length
+        if length == LENGTH_N:
+            return n
+        if length == LENGTH_N_PLUS_1:
+            return n + 1
+        return None if length == LENGTH_INF else length
 
     def exponents(self, n: int, top: int) -> range:
         """The exponents e <= top of this factor's binomials (1 - sign*q^e) at index n."""
@@ -353,8 +353,7 @@ class PochFactor:
         return leaving, after[len(now) - len(leaving) :]
 
 
-@dataclass(frozen=True)
-class TermTemplate:
+class TermTemplate(_Record):
     """A sum over the smallest part: sum_n (+-1)^n q^(prefix(n)) * factors(n).
 
     The prefix exponent prefix_slope*n + prefix_offset must strictly increase

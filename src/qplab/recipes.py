@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from math import prod
 from typing import Any, Callable, Union
 
-from .series import Series, SeriesError
+from .series import Series, SeriesError, _Record
 from .qengine import _log_derivative_recurrence, _Product, Parameter, Poch, TermTemplate
 from .qengine import phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
@@ -39,59 +38,49 @@ from . import partitions
 from .family_gf import family_gf_series
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(_Record):
     exponent: int
     coefficient: int = 1
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(_Record):
     terms: tuple["Recipe", ...]
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(_Record):
     factor: int
     node: "Recipe"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(_Record):
     factors: tuple["Recipe", ...]
 
 
-@dataclass(frozen=True)
-class Inv:
+class Inv(_Record):
     node: "Recipe"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(_Record):
     """node^k; a negative k inverts the node first."""
 
     node: "Recipe"
     k: int
 
 
-@dataclass(frozen=True)
-class NegVar:
+class NegVar(_Record):
     node: "Recipe"
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Record):
     numerator: tuple[int, ...]
     denominator: tuple[tuple[int, int, int], ...]  # (sign, exponent, multiplicity)
 
 
-@dataclass(frozen=True)
-class Phi21:
+class Phi21(_Record):
     a: Parameter
     b: Parameter
     c: Parameter
@@ -99,48 +88,41 @@ class Phi21:
     z: Parameter
 
 
-@dataclass(frozen=True)
-class Theta:
+class Theta(_Record):
     alternating: bool = False
 
 
-@dataclass(frozen=True)
-class FamilyCounts:
+class FamilyCounts(_Record):
     """Enumeration-side counting series of a registered family."""
 
     family: str
     mode: str = partitions.WEIGHT_NONE
 
 
-@dataclass(frozen=True)
-class FamilyGF:
+class FamilyGF(_Record):
     """Template-side generating function of a registered family."""
 
     family: str
     signed: bool = False
 
 
-@dataclass(frozen=True)
-class Overpartitions:
+class Overpartitions(_Record):
     odd_only: bool = False
 
 
-@dataclass(frozen=True)
-class AdyCounts:
+class AdyCounts(_Record):
     distinct: bool
     allow_zero: bool = False
 
 
-@dataclass(frozen=True)
-class CoefficientFormula:
+class CoefficientFormula(_Record):
     """sum_n (+-1)^n c(n) q^n for a named closed coefficient formula."""
 
     name: str  # "n" or "floor((n+2)/3)"
     alternating: bool = False
 
 
-@dataclass(frozen=True)
-class CubicProgression:
+class CubicProgression(_Record):
     """sum_n (+-1)^n (n+1) (a(n) + b(n) q + c(n) q^2) q^(3n+offset).
 
     a, b, c are affine in n, given as (slope, intercept) pairs.
@@ -200,8 +182,7 @@ def uses_enumeration(node: Recipe) -> bool:
     return rule.counts or any(uses_enumeration(c) for c in rule.children(node))
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Record):
     evaluate: Callable[[Any, int], Series]
     render: Callable[[Any], str]
     children: Callable[[Any], tuple] = lambda node: ()

@@ -10,10 +10,9 @@ that it is able to fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
-from .series import Comparison, equal_up_to
+from .series import Comparison, _Record, equal_up_to
 from .qengine import (
     LENGTH_INF,
     LENGTH_N,
@@ -61,8 +60,7 @@ class RegistryError(KeyError):
     """Raised for unknown identity ids."""
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(_Record):
     id: str
     description: str
     source: str
@@ -83,8 +81,7 @@ class IdentityCase:
         return ENUMERATION_DEFAULT_ORDER if self.enumeration_backed else SERIES_DEFAULT_ORDER
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     id: str
     order_checked: int
     mismatch: Optional[Comparison] = None

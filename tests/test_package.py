@@ -66,8 +66,8 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(qplab, "nope")
 
 
-def _loaded_by(statement):
-    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.startswith('qplab.')))"
+def _loaded_by(statement, prefix="qplab."):
+    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = os.path.dirname(os.path.dirname(qplab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
@@ -93,3 +93,11 @@ def test_a_module_import_loads_only_its_own_imports():
 def test_the_cli_import_loads_every_module():
     # the benchmark's setup_s times `import qplab.cli`; its module set is pinned here
     assert _loaded_by("import qplab.cli") == [f"qplab.{m}" for m in SUBMODULES]
+
+
+@pytest.mark.parametrize("module", ["cli", "series"])
+def test_an_import_loads_neither_dataclasses_nor_inspect(module):
+    # the records share one base class instead of generating methods at import
+    loaded = _loaded_by(f"import qplab.{module}", prefix="")
+    assert f"qplab.{module}" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded

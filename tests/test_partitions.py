@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +13,7 @@ from qplab import partitions as P
 from qplab import recipes
 
 import oracles
+from records import replace
 
 ALL_FAMILY_NAMES = tuple(P.FAMILIES)
 
@@ -244,7 +244,7 @@ def test_count_tables_reject_bad_arguments():
 def test_family_specs_and_count_nodes_hash_and_equal_themselves(name):
     # the tracer's repeat keys hash (spec, order, mode) and the recipe nodes
     spec = P.FAMILIES[name]
-    copy = dataclasses.replace(spec)
+    copy = replace(spec)
     assert spec.name == name
     assert copy == spec and hash(copy) == hash(spec)
     for mode in P.WEIGHT_MODES:

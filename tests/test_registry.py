@@ -1,11 +1,11 @@
-from dataclasses import replace
-
 import pytest
 
 from qplab import partitions, qengine, registry
 from qplab.qengine import Poch
 from qplab.recipes import Mul
 from qplab.series import Comparison
+
+from records import replace
 
 
 def report_by_id(reports, case_id):

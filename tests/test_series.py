@@ -81,19 +81,6 @@ def test_invert_rejects_non_unit():
         S(0, 1).invert()
 
 
-def test_substitute_power():
-    assert S(1, 1, 1, 0, 0).substitute_power(2) == S(1, 0, 1, 0, 1)
-    assert S(5, 4, 3).substitute_power(1) == S(5, 4, 3)
-    with pytest.raises(SeriesError):
-        S(1).substitute_power(0)
-
-
-def test_substitute_power_clears_non_multiples():
-    s = Series([1] * 10).substitute_power(3)
-    for m in range(10):
-        assert s.coeff(m) == (1 if m % 3 == 0 else 0)
-
-
 def test_negate_variable():
     geo = Series([1] * 7)
     assert geo.negate_variable().coeffs == tuple((-1) ** n for n in range(7))
