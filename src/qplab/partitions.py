@@ -9,7 +9,9 @@ independent computations hang off that table:
   value first and then copy counts for the (value, color) slots of its cells;
   each slot is one integer rank, the choices from a slot on are lists of
   rank tuples memoized per slot and remainder, the tuples are sorted once,
-  and each partition is built once from parts interned per call;
+  and each partition keeps its tuple as a key into one table per call of
+  the 2n parts and their names, read only when its parts or text are asked
+  for;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
   out the factor that leaves, which scales far beyond listing range; the
@@ -77,33 +79,54 @@ class ColoredPart(_Record):
         return f"{self.value}{self.color}"
 
 
-class TwoColorPartition:
-    """An immutable multiset of colored parts in canonical order."""
+class _PartTable:
+    """Parts in canonical order, and the text of each, for partitions to index."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("parts", "names")
 
     def __init__(self, parts):
-        self._parts = tuple(sorted(parts, key=ColoredPart.sort_key))
+        self.parts = tuple(parts)
+        self.names = tuple(map(str, self.parts))
+
+
+class TwoColorPartition:
+    """An immutable multiset of colored parts in canonical order.
+
+    A partition is a key into a table: the ascending indices of its parts in
+    a `_PartTable`.  The partitions of one `enumerate_family` call share the
+    call's table of its 2n parts and keep their rank tuples as keys; the
+    constructor sorts the parts into a table of their own, keyed by
+    range(len(parts)).  `parts` and `text()` read through the table on
+    every call; `==`, `hash`, `count` and `repr` go through `parts`, so
+    equal partitions on different tables compare and hash equal.
+    """
+
+    __slots__ = ("_key", "_table")
+
+    def __init__(self, parts):
+        self._table = _PartTable(sorted(parts, key=ColoredPart.sort_key))
+        self._key = range(len(self._table.parts))
 
     @classmethod
-    def _trusted(cls, parts) -> "TwoColorPartition":
-        """A partition over `parts`, which must already be in canonical order.
-
-        For parts the package listed itself: unlike ``TwoColorPartition(...)``
-        it does not sort them.
-        """
-        p = object.__new__(cls)
-        p._parts = tuple(parts)
-        return p
+    def _on_table(cls, keys, table: _PartTable) -> list["TwoColorPartition"]:
+        """One partition per key, each reading its parts from `table`."""
+        new = object.__new__
+        out = []
+        for key in keys:
+            p = new(cls)
+            p._key = key
+            p._table = table
+            out.append(p)
+        return out
 
     @property
     def parts(self) -> tuple[ColoredPart, ...]:
-        return self._parts
+        return tuple(map(self._table.parts.__getitem__, self._key))
 
     def count(self, color: str | None = None, parity: str | None = None) -> int:
         return sum(
             1
-            for p in self._parts
+            for p in self.parts
             if (color is None or p.color == color)
             and (parity is None or p.parity == parity)
         )
@@ -113,16 +136,13 @@ class TwoColorPartition:
 
         The empty partition renders as the empty string.
         """
-        return "+".join(str(p) for p in self._parts)
-
-    def sort_key(self):
-        return tuple(p.sort_key() for p in self._parts)
+        return "+".join(map(self._table.names.__getitem__, self._key))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoColorPartition) and self._parts == other._parts
+        return isinstance(other, TwoColorPartition) and self.parts == other.parts
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash(self.parts)
 
     def __repr__(self) -> str:
         return f"TwoColorPartition({self.text() or 'empty'})"
@@ -319,10 +339,12 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     ranks, the largest of the row, go at the end of each completion of
     (0, n - anchor weight); they are merged in only past a value-s slot
     that outranks them (a green copy of s before a blue anchor).  The memo
-    is dropped as soon as the top list stands, the keys of all s are
-    sorted once, which sorts them exactly as `TwoColorPartition.sort_key`
-    would, and each key becomes a partition of the 2n parts built once per
-    call.  The listing grows like exp(c sqrt(n)), so n is held to the
+    is dropped as soon as the top list stands, and the keys of all s are
+    sorted once, which is the canonical order of the partitions.  Each key
+    becomes a partition as it stands, on one `_PartTable` of the 2n parts
+    and their names built once per call, so no part is looked up and no
+    name joined until a partition's parts or text are read.  The listing
+    grows like exp(c sqrt(n)), so n is held to the
     enumeration budget before any listing work; it is the one bound on n in
     this module, since its counts take at most O(n^2).
     """
@@ -381,8 +403,8 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
             else:
                 keys.append(t + anchor)
     keys.sort()
-    parts = [ColoredPart(n - r // 2, GREEN if r % 2 else BLUE) for r in range(2 * n)]
-    return [TwoColorPartition._trusted([parts[r] for r in key]) for key in keys]
+    table = _PartTable(ColoredPart(n - r // 2, GREEN if r % 2 else BLUE) for r in range(2 * n))
+    return TwoColorPartition._on_table(keys, table)
 
 
 # ----------------------------------------------------------------------

@@ -399,6 +399,17 @@ def test_enum_listing_matches_pinned_output_at_n_20(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == PINNED_LISTING_20[family]
 
 
+def test_enum_listings_up_to_n_22_match_one_pinned_digest(capsys):
+    # one sha256 over every family's `enum --list` output and exit code
+    # at each n in 0..22
+    digest = hashlib.sha256()
+    for family in ("E", "F", "Tomega", "Tpsi", "Tnu", "A", "B", "C"):
+        for n in range(23):
+            code, out, _ = run(capsys, "enum", "--family", family, "--n", str(n), "--list")
+            digest.update(f"{out}exit {code}\n".encode())
+    assert digest.hexdigest() == "f7f2cc1bb70c2e369bbc4830a0385864fb31049b43fbab12dfe36526423459b6"
+
+
 def test_enum_anchored_family_at_zero(capsys):
     code, out, _ = run(capsys, "enum", "--family", "A", "--n", "0")
     assert code == 0

@@ -60,17 +60,61 @@ def test_enumeration_matches_generating_function_beyond_the_oracle(name):
 
 @pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
 def test_listing_is_canonical_strictly_increasing_and_repeatable(name):
-    # the listing wraps its parts without sorting them: each partition must
-    # equal the one the sorting constructor builds from the same parts
+    # the listing keeps its rank keys without sorting any parts: each
+    # partition must equal the one the sorting constructor builds from the
+    # same parts, and the listing must ascend by the parts' own sort keys
     spec = P.FAMILIES[name]
     for n in range(0, 17):
         members = P.enumerate_family(spec, n)
         for p in members:
             rebuilt = P.TwoColorPartition(list(reversed(p.parts)))
             assert rebuilt == p and rebuilt.parts == p.parts, f"{name} at n={n}: {p}"
-        keys = [p.sort_key() for p in members]
+        keys = [tuple(map(P.ColoredPart.sort_key, p.parts)) for p in members]
         assert all(a < b for a, b in zip(keys, keys[1:])), f"{name} at n={n}"
     assert members == P.enumerate_family(spec, 16)
+
+
+FILTERS = [(color, parity) for color in (None, P.BLUE, P.GREEN) for parity in (None, P.ODD, P.EVEN)]
+
+
+def readings(partition):
+    return (
+        hash(partition),
+        repr(partition),
+        partition.text(),
+        [partition.count(color, parity) for color, parity in FILTERS],
+    )
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_listed_and_constructed_partitions_agree(name):
+    # a listed partition reads its parts and names from the call's table; a
+    # constructed one from a table of its own: every reading must agree
+    spec = P.FAMILIES[name]
+    for n in range(0, 17):
+        shared = {}
+        for p in P.enumerate_family(spec, n):
+            q = P.TwoColorPartition(reversed(p.parts))
+            assert p == q and readings(p) == readings(q), f"{name} at n={n}: {p}"
+            assert p.text() == "+".join(map(str, p.parts))
+            for part in p.parts:
+                assert shared.setdefault((part.value, part.color), part) is part
+        assert len(shared) <= 2 * n
+
+
+def test_constructed_partitions_with_repeated_parts_and_none():
+    b3, g1 = P.ColoredPart(3, "b"), P.ColoredPart(1, "g")
+    p = P.TwoColorPartition([g1, b3, P.ColoredPart(1, "g"), b3])
+    assert p.parts == (b3, b3, g1, g1)
+    assert p.text() == "3b+3b+1g+1g" and repr(p) == "TwoColorPartition(3b+3b+1g+1g)"
+    assert (p.count(), p.count(P.GREEN), p.count(parity=P.ODD), p.count(P.BLUE, P.EVEN)) == (4, 2, 4, 0)
+    assert p == P.TwoColorPartition(reversed(p.parts)) and hash(p) == hash(P.TwoColorPartition(p.parts))
+    empty = P.TwoColorPartition([])
+    assert empty.parts == () and empty.text() == "" and empty.count() == 0
+    assert repr(empty) == "TwoColorPartition(empty)"
+    listed = P.enumerate_family(P.FAMILIES["E"], 0)
+    assert listed == [empty] and readings(listed[0]) == readings(empty)
+    assert p != empty and p != p.parts
 
 
 # ----------------------------------------------------------------------
