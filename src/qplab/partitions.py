@@ -344,9 +344,9 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     becomes a partition as it stands, on one `_PartTable` of the 2n parts
     and their names built once per call, so no part is looked up and no
     name joined until a partition's parts or text are read.  The listing
-    grows like exp(c sqrt(n)), so n is held to the
-    enumeration budget before any listing work; it is the one bound on n in
-    this module, since its counts take at most O(n^2).
+    grows like exp(c sqrt(n)), so n is held to the enumeration budget
+    before any listing work; it is the one bound on n in this module, since
+    its counts take at most O(n^2).
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
