@@ -6,12 +6,13 @@ distinct or not and starting at an offset from the smallest part.  Three
 independent computations hang off that table:
 
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
-  value first and then copy counts for the (value, color) slots of its cells;
-  each slot is one integer rank, the choices from a slot on are lists of
-  rank tuples memoized per slot and remainder, the tuples are sorted once,
-  and each partition keeps its tuple as a key into one table per call of
-  the 2n parts and their names, read only when its parts or text are asked
-  for;
+  value first and then copy counts for the (value, color) slots of its cells
+  and its anchor copies, which are slots that must hold a copy; each slot is
+  one integer rank, the choices from a slot on are lists of rank tuples
+  memoized per slot and remainder, the tuples are sorted once, and each
+  partition keeps its tuple as a key into one table per call of the 2n
+  parts and their names: its parts and text are read through the table
+  only when asked for, and ``==`` and ``hash`` read n and the key alone;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, stepped from one smallest value to the next by dividing
   out the factor that leaves, which scales far beyond listing range; the
@@ -31,7 +32,6 @@ them structurally separate is the point, not an accident.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from operator import add, sub
 from typing import Optional
 
@@ -71,41 +71,45 @@ class ColoredPart(_Record):
     def parity(self) -> str:
         return EVEN if self.value % 2 == 0 else ODD
 
-    def sort_key(self) -> tuple[int, int]:
-        # canonical: larger values first, blue before green at equal value
-        return (-self.value, 0 if self.color == BLUE else 1)
-
     def __str__(self) -> str:
         return f"{self.value}{self.color}"
 
 
+def _rank(n: int, value: int, color: str) -> int:
+    """Rank of a part of n: ascending ranks put larger values first, blue before green."""
+    return 2 * (n - value) + (1 if color == GREEN else 0)
+
+
 class _PartTable:
-    """Parts in canonical order, and the text of each, for partitions to index."""
+    """The parts of partitions of n by rank, and the text of each."""
 
-    __slots__ = ("parts", "names")
+    __slots__ = ("n", "parts", "names")
 
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self.names = tuple(map(str, self.parts))
+    def __init__(self, n: int, parts):
+        self.n = n
+        self.parts = {_rank(n, p.value, p.color): p for p in parts}
+        self.names = {r: str(p) for r, p in self.parts.items()}
 
 
 class TwoColorPartition:
     """An immutable multiset of colored parts in canonical order.
 
-    A partition is a key into a table: the ascending indices of its parts in
-    a `_PartTable`.  The partitions of one `enumerate_family` call share the
-    call's table of its 2n parts and keep their rank tuples as keys; the
-    constructor sorts the parts into a table of their own, keyed by
-    range(len(parts)).  `parts` and `text()` read through the table on
-    every call; `==`, `hash`, `count` and `repr` go through `parts`, so
-    equal partitions on different tables compare and hash equal.
+    A partition of n is a key into a table: the ascending ranks of its
+    parts in a `_PartTable` of n.  The partitions of one `enumerate_family`
+    call share the call's table of its 2n parts; the constructor ranks the
+    parts it is given into a table of their own, with n their sum.  Since
+    n and the key determine the parts, `==` and `hash` read (n, key) and
+    equal partitions on different tables compare and hash equal; `parts`,
+    `text()` and `count` walk the key through the table on every call.
     """
 
     __slots__ = ("_key", "_table")
 
     def __init__(self, parts):
-        self._table = _PartTable(sorted(parts, key=ColoredPart.sort_key))
-        self._key = range(len(self._table.parts))
+        parts = list(parts)
+        n = sum(p.value for p in parts)
+        self._table = _PartTable(n, parts)
+        self._key = tuple(sorted(_rank(n, p.value, p.color) for p in parts))
 
     @classmethod
     def _on_table(cls, keys, table: _PartTable) -> list["TwoColorPartition"]:
@@ -124,9 +128,13 @@ class TwoColorPartition:
         return tuple(map(self._table.parts.__getitem__, self._key))
 
     def count(self, color: str | None = None, parity: str | None = None) -> int:
+        if color not in (None, BLUE, GREEN):
+            raise PartitionError(f"unknown color {color!r}")
+        if parity not in (None, ODD, EVEN):
+            raise PartitionError(f"unknown parity {parity!r}")
         return sum(
             1
-            for p in self.parts
+            for p in map(self._table.parts.__getitem__, self._key)
             if (color is None or p.color == color)
             and (parity is None or p.parity == parity)
         )
@@ -139,10 +147,12 @@ class TwoColorPartition:
         return "+".join(map(self._table.names.__getitem__, self._key))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TwoColorPartition) and self.parts == other.parts
+        if not isinstance(other, TwoColorPartition):
+            return False
+        return self._table.n == other._table.n and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.parts)
+        return hash((self._table.n, self._key))
 
     def __repr__(self) -> str:
         return f"TwoColorPartition({self.text() or 'empty'})"
@@ -324,29 +334,29 @@ def statistic_counts(spec: FamilySpec, n: int) -> tuple[int, int, int, int]:
 def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     """Every family partition of n exactly once, in canonical order.
 
-    The walk builds integers, not objects.  Each (value, color) slot is named
-    by one rank, 2 * (n - value) + (1 if green else 0), so ascending ranks
-    are the canonical order: larger value first, blue before green.  For
+    The walk builds integers, not objects.  Each (value, color) slot is
+    named by its `_rank`, so ascending ranks are the canonical order.  For
     each smallest value s (a single pass with s = None when the family
     anchors none) the family's cells become one row of slots (value, rank,
-    distinct) sorted by descending rank, so by ascending value.  The
-    completions of slot j and a remainder rem, every choice of copy counts
-    k from slot j on whose values sum to rem, are one list of rank tuples:
-    those of (j + 1, rem), then those of (j + 1, rem - k * value) with
-    (rank,) * k appended.  The slots after j rank lower, so each tuple is
-    ascending as built, and the lists are memoized on (j, rem) within one
-    s, so a tail of the row shared by many heads is built once.  The anchor
-    ranks, the largest of the row, go at the end of each completion of
-    (0, n - anchor weight); they are merged in only past a value-s slot
-    that outranks them (a green copy of s before a blue anchor).  The memo
-    is dropped as soon as the top list stands, and the keys of all s are
-    sorted once, which is the canonical order of the partitions.  Each key
-    becomes a partition as it stands, on one `_PartTable` of the 2n parts
-    and their names built once per call, so no part is looked up and no
-    name joined until a partition's parts or text are read.  The listing
-    grows like exp(c sqrt(n)), so n is held to the enumeration budget
-    before any listing work; it is the one bound on n in this module, since
-    its counts take at most O(n^2).
+    least, most) sorted by descending rank, so by ascending value.  A cell's
+    slot holds 0 or 1 copies if the cell is distinct, else any number; each
+    anchor copy of s is a slot with a least count of 1, merged with the
+    cell's slot of the same (s, color) if there is one and otherwise holding
+    exactly that copy.  The completions of slot j and a remainder rem, every
+    choice of copy counts from slot j on whose values sum to rem, are one
+    list of rank tuples: those of (j + 1, rem - k * value) with (rank,) * k
+    appended, for each count k the slot allows.  A remainder of 0 completes
+    only past every anchor slot.  The slots after j rank lower, so each
+    tuple is ascending as built, and the lists are memoized on (j, rem)
+    within one s, so a tail of the row shared by many heads is built once.
+    The memo is dropped as soon as the top list stands, and the keys of all
+    s are sorted once, which is the canonical order of the partitions.  Each
+    key becomes a partition as it stands, on one `_PartTable` of the 2n
+    parts and their names built once per call, so no part is looked up and
+    no name joined until a partition's parts or text are read.  The listing
+    grows like exp(c sqrt(n)), so n is held to the enumeration budget before
+    any listing work; it is the one bound on n in this module, since its
+    counts take at most O(n^2).
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
@@ -357,54 +367,41 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     keys: list[tuple[int, ...]] = []
     memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def completions(slots: list[tuple[int, int, bool]], j: int, rem: int) -> list[tuple[int, ...]]:
+    def completions(j: int, rem: int) -> list[tuple[int, ...]]:
+        # reads the `slots` and `forced` of the current smallest value
         if rem == 0:
-            return [()]
+            return [()] if j >= forced else []
         if j == len(slots) or slots[j][0] > rem:
             return []
         out = memo.get((j, rem))
         if out is not None:
             return out
-        v, r, distinct = slots[j]
-        out = completions(slots, j + 1, rem)[:]
-        for k in range(1, 2 if distinct else rem // v + 1):
+        v, r, least, most = slots[j]
+        out = completions(j + 1, rem)[:] if least == 0 else []
+        for k in range(max(least, 1), min(most, rem // v) + 1):
             copies = (r,) * k
-            out += [t + copies for t in completions(slots, j + 1, rem - k * v)]
+            out += [t + copies for t in completions(j + 1, rem - k * v)]
         memo[(j, rem)] = out
         return out
 
-    def rank(v: int, color: str) -> int:
-        return 2 * (n - v) + (1 if color == GREEN else 0)
-
-    smallest_values = range(1, n + 1, 2) if spec.anchor else [None]
+    smallest_values = range(1, n // len(spec.anchor) + 1, 2) if spec.anchor else [None]
     for s in smallest_values:
-        remaining = n - (s or 0) * len(spec.anchor)
-        if remaining < 0:
-            break
-        anchor = tuple(rank(s, color) for color in spec.anchor)
-        slots = sorted(
-            (
-                (v, rank(v, cell.color), cell.distinct)
-                for cell in spec.cells
-                for v in range(_cell_start(cell, s), remaining + 1, 2)
-            ),
-            key=lambda slot: -slot[1],
-        )
-        tails = completions(slots, 0, remaining)
+        # rank -> (value, least, most): the copies its slot may hold
+        row = {
+            _rank(n, v, cell.color): (v, 0, 1 if cell.distinct else n)
+            for cell in spec.cells
+            for v in range(_cell_start(cell, s), n + 1, 2)
+        }
+        for color in spec.anchor:
+            _, least, most = row.get(r := _rank(n, s, color), (s, 0, 0))
+            row[r] = (s, least + 1, most + 1)
+        slots = [(v, r, least, most) for r, (v, least, most) in sorted(row.items(), reverse=True)]
+        forced = max((j + 1 for j, slot in enumerate(slots) if slot[2]), default=0)
+        keys += completions(0, n)
         memo.clear()
-        if not anchor:
-            keys += tails
-            continue
-        low = anchor[0]
-        for t in tails:
-            if t and t[-1] > low:
-                i = bisect_right(t, low)
-                keys.append(t[:i] + anchor + t[i:])
-            else:
-                keys.append(t + anchor)
     keys.sort()
-    table = _PartTable(ColoredPart(n - r // 2, GREEN if r % 2 else BLUE) for r in range(2 * n))
-    return TwoColorPartition._on_table(keys, table)
+    parts = (ColoredPart(v, color) for v in range(1, n + 1) for color in (BLUE, GREEN))
+    return TwoColorPartition._on_table(keys, _PartTable(n, parts))
 
 
 # ----------------------------------------------------------------------

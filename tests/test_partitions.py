@@ -62,14 +62,15 @@ def test_enumeration_matches_generating_function_beyond_the_oracle(name):
 def test_listing_is_canonical_strictly_increasing_and_repeatable(name):
     # the listing keeps its rank keys without sorting any parts: each
     # partition must equal the one the sorting constructor builds from the
-    # same parts, and the listing must ascend by the parts' own sort keys
+    # same parts, and the listing must ascend in the canonical order, here
+    # spelled from the parts themselves: larger value first, blue before green
     spec = P.FAMILIES[name]
     for n in range(0, 17):
         members = P.enumerate_family(spec, n)
         for p in members:
             rebuilt = P.TwoColorPartition(list(reversed(p.parts)))
             assert rebuilt == p and rebuilt.parts == p.parts, f"{name} at n={n}: {p}"
-        keys = [tuple(map(P.ColoredPart.sort_key, p.parts)) for p in members]
+        keys = [tuple((-q.value, q.color != P.BLUE) for q in p.parts) for p in members]
         assert all(a < b for a, b in zip(keys, keys[1:])), f"{name} at n={n}"
     assert members == P.enumerate_family(spec, 16)
 
@@ -115,6 +116,37 @@ def test_constructed_partitions_with_repeated_parts_and_none():
     listed = P.enumerate_family(P.FAMILIES["E"], 0)
     assert listed == [empty] and readings(listed[0]) == readings(empty)
     assert p != empty and p != p.parts
+
+
+def test_partitions_of_different_n_with_the_same_key_differ():
+    # both are the single part of rank 0 among the parts of their n, so
+    # they differ only in n, and so should their hashes
+    one, two = P.TwoColorPartition([P.ColoredPart(1, "b")]), P.TwoColorPartition([P.ColoredPart(2, "b")])
+    assert one != two and hash(one) != hash(two) and len({one, two}) == 2
+    assert one == P.enumerate_family(P.FAMILIES["F"], 1)[0]
+    assert two == P.enumerate_family(P.FAMILIES["F"], 2)[0]
+
+
+def test_count_rejects_unknown_filters():
+    p = P.TwoColorPartition([P.ColoredPart(3, "b"), P.ColoredPart(2, "b")])
+    for color, parity in (("blue", None), ("r", None), (None, "Odd"), (None, "zero"), ("b", "even ")):
+        with pytest.raises(P.PartitionError):
+            p.count(color, parity)
+    with pytest.raises(P.PartitionError):
+        P.TwoColorPartition([]).count("blue")
+
+
+@pytest.mark.parametrize("name", ALL_FAMILY_NAMES)
+def test_statistic_counts_match_the_listing(name):
+    # X0, X1 split by the parity of the number of even parts, X2, X3 by the
+    # parity of the number of parts, as counted on the listed partitions
+    spec = P.FAMILIES[name]
+    for n in range(0, 17):
+        x = [0] * 4
+        for p in P.enumerate_family(spec, n):
+            x[p.count(parity=P.EVEN) % 2] += 1
+            x[2 + len(p.parts) % 2] += 1
+        assert P.statistic_counts(spec, n) == tuple(x), f"{name} at n={n}"
 
 
 # ----------------------------------------------------------------------
