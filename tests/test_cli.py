@@ -466,6 +466,65 @@ def test_max_order_env_rejects_garbage(capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# usage errors
+
+_E15 = str(10**15)
+_TOO_LARGE = f"error: order {_E15} is too large to evaluate in memory"
+
+USAGE_ERRORS = [
+    (None, ("verify", "--all", "--order", "0"), "error: --order must be at least 1"),
+    (None, ("verify", "--id", "nosuch"), "error: unknown identity id 'nosuch'"),
+    (None, ("verify", "--all", "--order", _E15), _TOO_LARGE),
+    (None, ("verify", "--id", "thm-2.4-psi", "--order", _E15), _TOO_LARGE),
+    (None, ("coeffs", "--target", "omega", "--order", "-1"), "error: --order must be nonnegative"),
+    (None, ("coeffs", "--target", "zeta"), "error: unknown coefficient target 'zeta'"),
+    (None, ("coeffs", "--target", "family:Z"), "error: unknown family 'Z'"),
+    (None, ("coeffs", "--target", "family:E:x"), "error: malformed family target 'family:E:x'"),
+    (
+        None,
+        ("coeffs", "--target", "rational:q/(2+q)"),
+        "error: cannot invert a series with constant coefficient 2;"
+        " only unit constants are invertible over the integers",
+    ),
+    (
+        None,
+        ("coeffs", "--target", "rational:9^99999", "--order", "1"),
+        "error: the constant term 9^99999 has more than 4300 digits, too many to print",
+    ),
+    (
+        None,
+        ("coeffs", "--target", "rational:(1+q)^20000", "--order", "10000"),
+        "error: a coefficient has too many digits to print",
+    ),
+    (None, ("coeffs", "--target", "theta", "--order", _E15), _TOO_LARGE),
+    (
+        None,
+        ("enum", "--family", "Z", "--n", "3"),
+        "error: unknown family 'Z'; choose from E, F, Tomega, Tpsi, Tnu, A, B, C",
+    ),
+    (None, ("enum", "--family", "E", "--n", "-1"), "error: --n must be nonnegative"),
+    (None, ("enum", "--family", "E", "--n", "31", "--list"), "error: --n must lie in 0..30 with --list"),
+    (None, ("enum", "--family", "E", "--n", _E15), _TOO_LARGE),
+    (
+        "lots",
+        ("coeffs", "--target", "omega", "--order", "3"),
+        "error: QPLAB_MAX_ORDER must be an integer, got 'lots'",
+    ),
+    ("5", ("enum", "--family", "E", "--n", "6"), "error: --n must lie in 0..5"),
+]
+
+
+@pytest.mark.parametrize(
+    "cap, argv, message", USAGE_ERRORS, ids=[" ".join(argv) for _, argv, _ in USAGE_ERRORS]
+)
+def test_usage_error_exits_two_with_one_line(capsys, monkeypatch, cap, argv, message):
+    if cap is not None:
+        monkeypatch.setenv("QPLAB_MAX_ORDER", cap)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+# ----------------------------------------------------------------------
 # identities listing
 
 def test_identities_listing(capsys):
