@@ -2,8 +2,10 @@
 exploration and machine-readable exports.
 
 Exit status contract: 0 when everything requested passes, 1 when at least
-one report's verdict is FAIL, 2 for usage errors.  The environment variable
-QPLAB_MAX_ORDER caps every requested order and `enum --n`.
+one report's verdict is FAIL, 2 for usage errors.  A handler reports a usage
+error by raising SystemExit with its one-line message; `main` prints it on
+stderr and returns 2.  The environment variable QPLAB_MAX_ORDER caps every
+requested order and `enum --n`.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ def _capped(order: int) -> int:
     return order if cap is None else min(order, cap)
 
 
-def _too_large(order: int) -> str:
-    return f"error: order {order} is too large to evaluate in memory"
+def _too_large(order: int) -> SystemExit:
+    return SystemExit(f"error: order {order} is too large to evaluate in memory")
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +61,7 @@ def _format_report(report: registry.IdentityReport) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order is not None and args.order < 1:
-        print("error: --order must be at least 1", file=sys.stderr)
-        return 2
+        raise SystemExit("error: --order must be at least 1")
     order = None if args.order is None else _capped(args.order)
     try:
         if args.id is not None:
@@ -68,11 +69,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             reports = registry.verify_all(order)
     except registry.RegistryError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"error: {exc.args[0]}")
     except (MemoryError, OverflowError):
-        print(_too_large(order), file=sys.stderr)
-        return 2
+        raise _too_large(order)
 
     verdicts = [r.verdict for r in reports]
     if args.json:
@@ -117,22 +116,18 @@ def _coeff_target(target: str) -> recipes.Recipe:
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     if args.order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
-        return 2
+        raise SystemExit("error: --order must be nonnegative")
     order = _capped(args.order)
     try:
         series = recipes.evaluate(_coeff_target(args.target), order)
     except (KeyError, recipes.ParseError, SeriesError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"error: {exc.args[0]}")
     except (MemoryError, OverflowError):
-        print(_too_large(order), file=sys.stderr)
-        return 2
+        raise _too_large(order)
     try:
         coeffs = [str(c) for c in series.coeffs]
     except ValueError:  # beyond the interpreter's int-to-text digit limit
-        print("error: a coefficient has too many digits to print", file=sys.stderr)
-        return 2
+        raise SystemExit("error: a coefficient has too many digits to print")
     if args.csv:
         for n, c in enumerate(coeffs):  # rows in place: no second list of digits
             coeffs[n] = f"{n},{c}"
@@ -158,17 +153,13 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.family not in partitions.FAMILIES:
-        print(
-            f"error: unknown family {args.family!r}; choose from {', '.join(partitions.FAMILIES)}",
-            file=sys.stderr,
-        )
-        return 2
+        choices = ", ".join(partitions.FAMILIES)
+        raise SystemExit(f"error: unknown family {args.family!r}; choose from {choices}")
     # only the listing grows like exp(c sqrt(n)); the counts take O(n^2)
     limit = _capped(partitions.DEFAULT_ENUMERATION_BUDGET) if args.list else _order_cap()
     if args.n < 0 or (limit is not None and args.n > limit):
         span = "be nonnegative" if limit is None else f"lie in 0..{limit}"
-        print(f"error: --n must {span}{' with --list' if args.list else ''}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"error: --n must {span}{' with --list' if args.list else ''}")
     spec = partitions.FAMILIES[args.family]
     weighted = {}
     try:
@@ -185,8 +176,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         else:
             signed = partitions.count_family(spec, args.n, use_weight=True)
     except (MemoryError, OverflowError):
-        print(_too_large(args.n), file=sys.stderr)
-        return 2
+        raise _too_large(args.n)
     print(f"family {args.family} n={args.n}")
     print(f"count {unsigned}")
     print(f"weighted {signed}")
@@ -253,10 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument(
         "--target",
         required=True,
-        help=(
-            "omega | psi | nu | nu-neg | theta | theta-alt | "
-            "family:<name>[:signed] | rational:<expression>"
-        ),
+        help=" | ".join([*_NAMED_TARGETS, "family:<name>[:signed]", "rational:<expression>"]),
     )
     p_coeffs.add_argument("--order", type=int, default=20, help="truncation order")
     fmt = p_coeffs.add_mutually_exclusive_group()
@@ -288,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
+    except SystemExit as exc:  # a usage error, raised with its message
         print(str(exc), file=sys.stderr)
         return 2
 
