@@ -8,7 +8,7 @@ flips the sign of the corresponding Pochhammer arguments.
 
 from __future__ import annotations
 
-from .series import Series
+from .series import Series, _check_order
 from .qengine import LENGTH_INF, Parameter, Poch, PochFactor, TermTemplate, sum_over_smallest
 
 FAMILY_NAMES = ("E", "F", "Tomega", "Tpsi", "Tnu", "A", "B", "C")
@@ -55,6 +55,7 @@ def family_gf_series(name: str, signed: bool, order: int) -> Series:
     """Evaluate the family's generating function to the given order."""
     if name not in FAMILY_NAMES:
         raise KeyError(f"unknown family {name!r}")
+    _check_order(order)
     template = family_template(name, signed)
     if template is not None:
         return sum_over_smallest(template, order)

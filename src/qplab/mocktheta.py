@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .series import Series, _Record, idiv_one_minus, imul_one_minus
+from .series import Series, _check_order, _Record, idiv_one_minus, imul_one_minus
 from .qengine import Parameter, QEngineError, phi21, poch_infinite
 
 FUNCTIONS = ("omega", "psi", "nu")
@@ -60,6 +60,7 @@ def omega(order: int) -> Series:
     the part that lands within the order, dividing by (1 - q^(2n+3)) twice
     from one n to the next.
     """
+    _check_order(order)
     total = [0] * (order + 1)
     inv_sq = [1] + [0] * order
     idiv_one_minus(inv_sq, 1, 1, order)
@@ -76,6 +77,7 @@ def omega(order: int) -> Series:
 
 def omega_fine(order: int) -> Series:
     """omega(q) = sum_{n>=0} q^n / (q;q^2)_{n+1}, built by term ratios."""
+    _check_order(order)
     total = [0] * (order + 1)
     term = [1] + [0] * order  # the n-th term without its q^n
     idiv_one_minus(term, 1, 1, order)
@@ -87,6 +89,7 @@ def omega_fine(order: int) -> Series:
 
 def omega_ady(order: int) -> Series:
     """sum_{n>=1} q^n / ((1-q^n) (q^(n+1);q)_n (q^(2n+2);q^2)_inf) = q*omega(q)."""
+    _check_order(order)
     total = [0] * (order + 1)
     if order < 1:
         return Series._trusted(total)
@@ -107,6 +110,7 @@ def psi(order: int) -> Series:
 
     1/(q;q^2)_n is carried as one list through q^(order - n^2).
     """
+    _check_order(order)
     total = [0] * (order + 1)
     term = [1] + [0] * order
     idiv_one_minus(term, 1, 1, order)
@@ -120,6 +124,7 @@ def psi(order: int) -> Series:
 
 def psi_fine(order: int) -> Series:
     """psi(q) = sum_{n>=0} (-q^2;q^2)_n q^(n+1), built by term ratios."""
+    _check_order(order)
     total = [0] * (order + 1)
     term = [1] + [0] * order  # (-q^2;q^2)_n, through q^(order - n - 1)
     for n in range(order):
@@ -135,6 +140,7 @@ def nu(order: int, sign: int = 1) -> Series:
     directly, not by flipping signs afterwards, and the two can be compared.
     1/(-sign*q;q^2)_{n+1} is carried as one list through q^(order - n(n+1)).
     """
+    _check_order(order)
     if sign not in (-1, 1):
         raise QEngineError("sign must be -1 or +1")
     total = [0] * (order + 1)
@@ -162,6 +168,7 @@ def nu_fine(order: int, sign: int = 1) -> Series:
 
 def nu_ady(order: int) -> Series:
     """sum_{n>=0} q^n (-q^(n+1);q)_n (-q^(2n+2);q^2)_inf = nu(-q)."""
+    _check_order(order)
     total = [0] * (order + 1)
     # the n-th term without its q^n, through q^(order - n)
     term = list(poch_infinite(Parameter.monomial(2, -1), 2, order).coeffs)
@@ -175,6 +182,7 @@ def nu_ady(order: int) -> Series:
 
 def theta_squares(order: int, alternating: bool = False) -> Series:
     """1 + 2*sum_{n>=1} (+-1)^n q^(n^2): the square-supported theta series."""
+    _check_order(order)
     out = [0] * (order + 1)
     out[0] = 1
     n = 1

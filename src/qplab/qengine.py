@@ -17,7 +17,8 @@ from __future__ import annotations
 from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
-from .series import Series, SeriesError, _non_unit, _Record, idiv_one_minus, imul_one_minus
+from .series import Series, SeriesError, _check_order, _non_unit, _Record
+from .series import idiv_one_minus, imul_one_minus
 
 
 class QEngineError(ValueError):
@@ -100,6 +101,7 @@ def _exponents(sign: int, exponent: int, step: int, length: Optional[int], top: 
 
 
 def _expand(poch: Poch, order: int) -> Series:
+    _check_order(order)
     out = [1] + [0] * order
     for e in poch.exponents(order):
         imul_one_minus(out, poch.a.sign, e, order)
@@ -269,6 +271,7 @@ def rational_series(
     Each denominator factor is a triple (sign, exponent, multiplicity) with
     exponent >= 1 so the constant term stays a unit.
     """
+    _check_order(order)
     out = list(Series.from_polynomial(numerator, order).coeffs)
     for sign, e, mult in denominator_factors:
         if e < 1:
@@ -422,6 +425,7 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     P(n) is one list, kept only through q^(order - prefix(n)), the part
     that lands within the order once shifted by q^prefix(n).
     """
+    _check_order(order)
     total = [0] * (order + 1)
     product = None
     n = 0
@@ -468,6 +472,7 @@ def phi21(
         raise QEngineError("c = q^0 makes the denominator Pochhammer vanish")
     if step < 1:
         raise QEngineError("phi21 step must be at least 1")
+    _check_order(order)
     total = [0] * (order + 1)
     term = [1] + [0] * order
     n = 0

@@ -30,7 +30,7 @@ import sys
 from math import prod
 from typing import Any, Callable, Union
 
-from .series import Series, SeriesError, _Record
+from .series import Series, SeriesError, _check_order, _Record
 from .qengine import _log_derivative_recurrence, _Product, Parameter, Poch, TermTemplate
 from .qengine import phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
@@ -166,8 +166,7 @@ _FORMULAS = {
 
 def evaluate(node: Recipe, order: int) -> Series:
     """Evaluate a recipe tree to a series of the given order."""
-    if order < 0:
-        raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
+    _check_order(order)
     return _rule(node).evaluate(node, order)
 
 

@@ -43,6 +43,12 @@ class SeriesError(ValueError):
     """Raised when an operation would step outside a series' known range."""
 
 
+def _check_order(order: int) -> None:
+    """The one rule for every evaluator's truncation order: it is nonnegative."""
+    if order < 0:
+        raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
+
+
 class _Record:
     """Base of the package's frozen records: the annotated names of a class body are its fields.
 
@@ -147,10 +153,12 @@ class Series:
 
     @classmethod
     def zero(cls, order: int) -> "Series":
+        _check_order(order)
         return cls._trusted([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "Series":
+        _check_order(order)
         return cls._trusted([1] + [0] * order)
 
     @classmethod

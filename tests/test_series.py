@@ -1,6 +1,8 @@
 import pytest
 
-from qplab import series
+from qplab import family_gf, mocktheta, qengine, series
+from qplab.mocktheta import MockThetaForm
+from qplab.qengine import Parameter
 from qplab.series import Series, SeriesError, equal_up_to, linear_combine
 
 import oracles
@@ -107,6 +109,42 @@ def test_equal_up_to_rejects_beyond_order():
 def test_equal_up_to_rejects_negative_order():
     with pytest.raises(SeriesError):
         equal_up_to(S(1, 1), S(2, 1), -1)
+
+
+# every entry point that takes a truncation order, as a function of that order
+_Q = Parameter.monomial(1)
+ORDER_EVALUATORS = {
+    **{
+        name: getattr(mocktheta, name)
+        for name in "omega omega_fine omega_ady psi psi_fine nu nu_fine nu_ady".split()
+    },
+    "mock_theta": lambda order: mocktheta.mock_theta(MockThetaForm("psi", argument_sign=-1), order),
+    "theta_squares": mocktheta.theta_squares,
+    "phi21": lambda order: qengine.phi21(_Q, _Q, Parameter.zero(), 1, _Q, order),
+    "sum_over_smallest": lambda order: qengine.sum_over_smallest(
+        family_gf.family_template("A", False), order
+    ),
+    **{
+        f"family_gf_series-{name}": lambda order, name=name: family_gf.family_gf_series(
+            name, False, order
+        )
+        for name in family_gf.FAMILY_NAMES
+    },
+    "poch_infinite": lambda order: qengine.poch_infinite(_Q, 1, order),
+    "poch_finite": lambda order: qengine.poch_finite(_Q, 1, 3, order),
+    "rational_series": lambda order: qengine.rational_series([1, 1], [(1, 1, 2)], order),
+    "Series.zero": Series.zero,
+    "Series.one": Series.one,
+}
+
+
+@pytest.mark.parametrize("evaluator", ORDER_EVALUATORS.values(), ids=ORDER_EVALUATORS)
+def test_evaluators_refuse_a_negative_order_and_take_zero(evaluator):
+    with pytest.raises(
+        SeriesError, match=r"^cannot evaluate through q\^-1: the order must be nonnegative$"
+    ):
+        evaluator(-1)
+    assert evaluator(0).order == 0
 
 
 def test_equal_up_to_qomega_vs_psi():
