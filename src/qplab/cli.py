@@ -275,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except SystemExit as exc:  # a usage error, raised with its message
+    except SystemExit as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
