@@ -44,7 +44,7 @@ class SeriesError(ValueError):
 
 
 def _check_order(order: int) -> None:
-    """The one rule for every evaluator's truncation order: it is nonnegative."""
+    """Raise SeriesError for a negative truncation order; every evaluator calls it."""
     if order < 0:
         raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
 
