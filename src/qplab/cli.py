@@ -2,10 +2,11 @@
 exploration and machine-readable exports.
 
 Exit status contract: 0 when everything requested passes, 1 when at least
-one report's verdict is FAIL, 2 for usage errors.  A handler reports a usage
-error by raising SystemExit with its one-line message; `main` prints it on
-stderr and returns 2.  The environment variable QPLAB_MAX_ORDER caps every
-requested order and `enum --n`.
+one report's verdict is FAIL, 2 for usage errors.  A handler, and the parser
+for a malformed command line, reports a usage error by raising SystemExit
+with its one-line message; `main` prints it on stderr and returns 2.  The
+environment variable QPLAB_MAX_ORDER caps every requested order and
+`enum --n`.
 """
 
 from __future__ import annotations
@@ -221,8 +222,15 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are one-line usage errors, without the usage line."""
+
+    def error(self, message):
+        raise SystemExit(f"error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qplab",
         description=(
             "Exact q-series laboratory: verify the identity catalog, print "
@@ -268,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
+        if not exc.code:  # --help has printed its text
+            return 0
         print(str(exc), file=sys.stderr)
         return 2
 

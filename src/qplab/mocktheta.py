@@ -13,6 +13,10 @@ convention would add a constant 1 that none of its other representations
 carry.  nu's "fine" form is Fine's sum_{n>=0} (-q)^n (q;q^2)_n.  The routes
 are computationally independent, which is what makes the cross-checks in the
 identity catalog meaningful.
+
+``_ROUTES`` lists every route that exists, keyed by (function, form,
+argument_sign): a ``MockThetaForm`` names one of its keys and ``mock_theta``
+evaluates it by one lookup.
 """
 
 from __future__ import annotations
@@ -22,15 +26,13 @@ from operator import add
 from .series import Series, _check_order, _Record, idiv_one_minus, imul_one_minus
 from .qengine import Parameter, QEngineError, phi21, poch_infinite
 
-FUNCTIONS = ("omega", "psi", "nu")
-FORMS = ("defining", "fine", "ady")
-
 
 class MockThetaForm(_Record):
     """Selects a mock theta function, a computation route and the argument sign.
 
-    The ady route exists only for omega at +q (where it equals q*omega(q))
-    and for nu at -q (where it equals nu(-q)).
+    The triple must be a key of ``_ROUTES``: the ady route exists only for
+    omega at +q (where it equals q*omega(q)) and for nu at -q (where it
+    equals nu(-q)).
     """
 
     function: str
@@ -38,18 +40,10 @@ class MockThetaForm(_Record):
     argument_sign: int = 1
 
     def __post_init__(self):
-        if self.function not in FUNCTIONS:
-            raise QEngineError(f"unknown mock theta function {self.function!r}")
-        if self.form not in FORMS:
-            raise QEngineError(f"unknown mock theta form {self.form!r}")
-        if self.argument_sign not in (-1, 1):
-            raise QEngineError("argument sign must be -1 or +1")
-        if self.form == "ady" and (self.function, self.argument_sign) not in (
-            ("omega", 1),
-            ("nu", -1),
-        ):
+        if (self.function, self.form, self.argument_sign) not in _ROUTES:
             raise QEngineError(
-                "the ady form exists only for omega at +q and nu at -q"
+                f"no mock theta route {self.function!r}, form {self.form!r}, "
+                f"argument sign {self.argument_sign!r}"
             )
 
 
@@ -192,22 +186,28 @@ def theta_squares(order: int, alternating: bool = False) -> Series:
     return Series(out)
 
 
-_DISPATCH = {
-    ("omega", "defining"): omega,
-    ("omega", "fine"): omega_fine,
-    ("psi", "defining"): psi,
-    ("psi", "fine"): psi_fine,
+# One entry per route, keyed by (function, form, argument_sign).  Entries
+# reach the evaluators through module globals at call time, so a wrapper
+# installed on one of those globals sees every call.  omega and psi at -q
+# flip the sign of the variable afterwards; nu takes the sign itself.
+_ROUTES = {
+    ("omega", "defining", 1): lambda order: omega(order),
+    ("omega", "defining", -1): lambda order: omega(order).negate_variable(),
+    ("omega", "fine", 1): lambda order: omega_fine(order),
+    ("omega", "fine", -1): lambda order: omega_fine(order).negate_variable(),
+    ("omega", "ady", 1): lambda order: omega_ady(order),
+    ("psi", "defining", 1): lambda order: psi(order),
+    ("psi", "defining", -1): lambda order: psi(order).negate_variable(),
+    ("psi", "fine", 1): lambda order: psi_fine(order),
+    ("psi", "fine", -1): lambda order: psi_fine(order).negate_variable(),
+    ("nu", "defining", 1): lambda order: nu(order, 1),
+    ("nu", "defining", -1): lambda order: nu(order, -1),
+    ("nu", "fine", 1): lambda order: nu_fine(order, 1),
+    ("nu", "fine", -1): lambda order: nu_fine(order, -1),
+    ("nu", "ady", -1): lambda order: nu_ady(order),
 }
 
 
 def mock_theta(spec: MockThetaForm, order: int) -> Series:
     """Evaluate the requested function, route and argument sign."""
-    if spec.form == "ady":
-        return omega_ady(order) if spec.function == "omega" else nu_ady(order)
-    if spec.function == "nu":
-        base = nu if spec.form == "defining" else nu_fine
-        return base(order, spec.argument_sign)
-    base = _DISPATCH[(spec.function, spec.form)](order)
-    if spec.argument_sign == -1:
-        base = base.negate_variable()
-    return base
+    return _ROUTES[spec.function, spec.form, spec.argument_sign](order)

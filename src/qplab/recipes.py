@@ -12,15 +12,16 @@ directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
 and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
 
-A ``Mul``, ``Inv`` or ``Pow`` folds into qengine's exponent vector
+1/x is ``Pow(x, -1)``, the one node for an inverse; it renders as
+``1/(x)``.  A ``Mul`` or ``Pow`` folds into qengine's exponent vector
 (``qengine._Product``) and is evaluated by ``_Product.series`` in one pass.
 ``Poch`` factors, factors whose series has at most two terms c*q^m and
-+-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Inv``,
-``Pow`` or ``Mul`` of such factors fold; ``Inv(x)`` folds as ``Pow(x, -1)``.
-Any other factor of a ``Mul`` is evaluated and multiplied in afterwards,
-and a power of one, or of a product whose constant is not +-1, is taken by
-``_power``, which inverts through ``Series.invert`` when k < 0.  A lone
-``Poch`` is expanded by the binomial kernels.
++-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Pow`` or
+``Mul`` of such factors fold.  Any other factor of a ``Mul`` is evaluated
+and multiplied in afterwards, and a power of one, or of a product whose
+constant is not +-1, is taken by ``_power``, which inverts through
+``Series.invert`` when k < 0.  A lone ``Poch`` is expanded by the binomial
+kernels.
 """
 
 from __future__ import annotations
@@ -60,12 +61,8 @@ class Mul(_Record):
     factors: tuple["Recipe", ...]
 
 
-class Inv(_Record):
-    node: "Recipe"
-
-
 class Pow(_Record):
-    """node^k; a negative k inverts the node first."""
+    """node^k; a negative k inverts the node first, and k = -1 is 1/node."""
 
     node: "Recipe"
     k: int
@@ -141,7 +138,6 @@ Recipe = Union[
     Add,
     Scale,
     Mul,
-    Inv,
     Pow,
     NegVar,
     Poch,
@@ -278,10 +274,9 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
     """node as a _Product when it folds into one, else its series through the order.
 
     Errors are those of evaluating the node: an infinite Pochhammer at +q^0
-    raises from Poch.exponents.  Inv(x) is Pow(x, -1); a negative power of a
-    non-unit raises series._non_unit's error, from _Product.__pow__ for a
-    shifted product with constant +-1 and from _power's Series.invert for
-    any other.
+    raises from Poch.exponents.  A negative power of a non-unit raises
+    series._non_unit's error, from _Product.__pow__ for a shifted product
+    with constant +-1 and from _power's Series.invert for any other.
     """
     kind = type(node)
     if kind is Poch:
@@ -297,15 +292,15 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
         if rest and (product.const, product.shift, product.exponents) == (1, 0, {}):
             return prod(rest[1:], start=rest[0])
         return prod(rest, start=product.series(order)) if rest else product
-    if kind is Inv or kind is Pow:
-        base, k = _fold(node.node, order), -1 if kind is Inv else node.k
+    if kind is Pow:
+        base, k = _fold(node.node, order), node.k
         if isinstance(base, Series) or base.const not in (1, -1):
             return _power(base if isinstance(base, Series) else base.series(order), k, order)
         return base ** k
     return _as_product(evaluate(node, order))
 
 
-def _series(node: Union[Mul, Inv, Pow], order: int) -> Series:
+def _series(node: Union[Mul, Pow], order: int) -> Series:
     folded = _fold(node, order)
     return folded if isinstance(folded, Series) else folded.series(order)
 
@@ -415,8 +410,11 @@ _RULES: dict[type, _Rule] = {
         lambda n: " * ".join(f"({render(f)})" for f in n.factors),
         lambda n: n.factors,
     ),
-    Inv: _Rule(_series, lambda n: f"1/({render(n.node)})", _child),
-    Pow: _Rule(_series, lambda n: f"({render(n.node)})^{n.k}", _child),
+    Pow: _Rule(
+        _series,
+        lambda n: f"1/({render(n.node)})" if n.k == -1 else f"({render(n.node)})^{n.k}",
+        _child,
+    ),
     NegVar: _Rule(
         lambda n, order: evaluate(n.node, order).negate_variable(),
         lambda n: f"[q -> -q]({render(n.node)})",
@@ -535,7 +533,7 @@ def parse(text: str) -> Recipe:
         while peek() in ("*", "/"):
             op = take()
             rhs = unary()
-            factors.append(rhs if op == "*" else Inv(rhs))
+            factors.append(rhs if op == "*" else Pow(rhs, -1))
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def unary() -> Recipe:

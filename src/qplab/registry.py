@@ -32,12 +32,12 @@ from .recipes import (
     CubicProgression,
     FamilyCounts,
     FamilyGF,
-    Inv,
     Monomial,
     Mul,
     NegVar,
     Overpartitions,
     Phi21,
+    Pow,
     RationalGF,
     Recipe,
     Scale,
@@ -135,53 +135,42 @@ def _q(e: int, sign: int = 1) -> Parameter:
 _Z = Parameter.zero()
 
 
-def _smallest(prefix_slope, prefix_offset, *factors) -> TermTemplate:
-    return TermTemplate(prefix_slope, prefix_offset, tuple(factors))
-
-
 # left sides of the three two-parameter identities at their specializations,
 # multiplied through by 2 to absorb the constant-2 factor (-1;q^2)_{n+1}
 # = 2(-q^2;q^2)_n, which is not a unit over the integers
-_CHAN_MAO_LHS = _smallest(
-    2, 0,
+_CHAN_MAO_LHS = TermTemplate(2, 0, (
     PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 1, 2, LENGTH_N),
     PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 2, 2, LENGTH_N_PLUS_1, True),
-)
-_COMPANION_LHS = _smallest(
-    2, 2,
+))
+_COMPANION_LHS = TermTemplate(2, 2, (
     PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 3, 2, LENGTH_N),
     PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
-)
-_CQ_FORMULA_LHS = _smallest(
-    4, 2,
+))
+_CQ_FORMULA_LHS = TermTemplate(4, 2, (
     PochFactor(1, 0, 1, 2, LENGTH_N), PochFactor(1, 0, 1, 2, LENGTH_N),
     PochFactor(-1, 0, 2, 2, LENGTH_N, True), PochFactor(-1, 0, 4, 2, LENGTH_N_PLUS_1, True),
-)
+))
 
 # smallest-part sums that produce q*omega(q) and nu(-q)
-_ADY_OMEGA_TEMPLATE = _smallest(
-    1, 1,
+_ADY_OMEGA_TEMPLATE = TermTemplate(1, 1, (
     PochFactor(1, 1, 1, 1, 1, True),                # 1/(1 - q^(n+1)) as a length-1 product
     PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1, True),  # 1/(q^(n+2); q)_{n+1}
     PochFactor(1, 2, 4, 2, LENGTH_INF, True),       # 1/(q^(2n+4); q^2)_inf
-)
-_ADY_NU_TEMPLATE = _smallest(
-    1, 0,
+))
+_ADY_NU_TEMPLATE = TermTemplate(1, 0, (
     PochFactor(-1, 1, 1, 1, LENGTH_N),              # (-q^(n+1); q)_n
     PochFactor(-1, 2, 2, 2, LENGTH_INF),            # (-q^(2n+2); q^2)_inf
-)
+))
 
 # corollary left sides: the A-shaped sum with the even minimum pushed to 2n+6
-_COR_PLUS_LHS = _smallest(
-    2, 1,
+_COR_PLUS_LHS = TermTemplate(2, 1, (
     PochFactor(1, 2, 6, 2, LENGTH_INF), PochFactor(1, 2, 2, 2, LENGTH_INF),
     PochFactor(1, 2, 1, 2, LENGTH_INF, True), PochFactor(1, 2, 1, 2, LENGTH_INF, True),
-)
-_COR_MINUS_LHS = _smallest(
-    2, 1,
+))
+_COR_MINUS_LHS = TermTemplate(2, 1, (
     PochFactor(-1, 2, 6, 2, LENGTH_INF), PochFactor(-1, 2, 2, 2, LENGTH_INF),
     PochFactor(1, 2, 1, 2, LENGTH_INF, True), PochFactor(1, 2, 1, 2, LENGTH_INF, True),
-)
+))
 
 
 def _build_catalog() -> tuple[IdentityCase, ...]:
@@ -219,21 +208,21 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "2phi1(q,q;q^4; q^2,q^2) equals its closed product form",
         "q-gauss, thm 3.2(b) step",
         Phi21(_q(1), _q(1), _q(4), 2, _q(2)),
-        Mul((Poch(_q(3), 2), Poch(_q(3), 2), Inv(Poch(_q(4), 2)), Inv(Poch(_q(2), 2)))),
+        Mul((Poch(_q(3), 2), Poch(_q(3), 2), Pow(Poch(_q(4), 2), -1), Pow(Poch(_q(2), 2), -1))),
     )
     case(
         "q-gauss-3.4b",
         "2phi1(q,q^3;q^6; q^2,q^2) equals its closed product form",
         "q-gauss, thm 3.4(b) step",
         Phi21(_q(1), _q(3), _q(6), 2, _q(2)),
-        Mul((Poch(_q(5), 2), Poch(_q(3), 2), Inv(Poch(_q(6), 2)), Inv(Poch(_q(2), 2)))),
+        Mul((Poch(_q(5), 2), Poch(_q(3), 2), Pow(Poch(_q(6), 2), -1), Pow(Poch(_q(2), 2), -1))),
     )
     case(
         "q-gauss-3.6b",
         "2phi1(q,q;q^6; q^2,q^4) equals its closed product form",
         "q-gauss, thm 3.6(b) step",
         Phi21(_q(1), _q(1), _q(6), 2, _q(4)),
-        Mul((Poch(_q(5), 2), Poch(_q(5), 2), Inv(Poch(_q(6), 2)), Inv(Poch(_q(4), 2)))),
+        Mul((Poch(_q(5), 2), Poch(_q(5), 2), Pow(Poch(_q(6), 2), -1), Pow(Poch(_q(4), 2), -1))),
     )
 
     # ---- Heine's transformation at its three working instances
@@ -243,7 +232,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, omega route",
         Phi21(_q(1), _q(1), _Z, 2, _q(2)),
         Mul((
-            Poch(_q(1), 2), Poch(_q(3), 2), Inv(Poch(_q(2), 2)),
+            Poch(_q(1), 2), Poch(_q(3), 2), Pow(Poch(_q(2), 2), -1),
             Phi21(_Z, _q(2), _q(3), 2, _q(1)),
         )),
     )
@@ -253,7 +242,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, psi route",
         Phi21(_Z, _q(1), _q(3, -1), 2, _q(2)),
         Mul((
-            Poch(_q(1), 2), Inv(Poch(_q(3, -1), 2)), Inv(Poch(_q(2), 2)),
+            Poch(_q(1), 2), Pow(Poch(_q(3, -1), 2), -1), Pow(Poch(_q(2), 2), -1),
             Phi21(_q(2, -1), _q(2), _Z, 2, _q(1)),
         )),
     )
@@ -263,7 +252,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "heine, nu route",
         Phi21(_Z, _q(1, -1), _q(2, -1), 2, _q(2)),
         Mul((
-            Poch(_q(1, -1), 2), Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(2), 2)),
+            Poch(_q(1, -1), 2), Pow(Poch(_q(2, -1), 2), -1), Pow(Poch(_q(2), 2), -1),
             Phi21(_q(1), _q(2), _Z, 2, _q(1, -1)),
         )),
     )
@@ -342,21 +331,21 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "family F counts expand 1/((q;q^2)^2 (q^2;q^2))",
         "family F generating function",
         FamilyCounts("F"),
-        Inv(Mul((Poch(_q(1), 2), Poch(_q(1), 2), Poch(_q(2), 2)))),
+        Pow(Mul((Poch(_q(1), 2), Poch(_q(1), 2), Poch(_q(2), 2))), -1),
     )
     case(
         "overpartition-odd-product",
         "odd overpartition counts expand (-q;q^2)/(q;q^2)",
         "odd overpartition generating function",
         Overpartitions(odd_only=True),
-        Mul((Poch(_q(1, -1), 2), Inv(Poch(_q(1), 2)))),
+        Mul((Poch(_q(1, -1), 2), Pow(Poch(_q(1), 2), -1))),
     )
     case(
         "overpartition-all-product",
         "overpartition counts expand (-q;q)/(q;q)",
         "overpartition generating function",
         Overpartitions(odd_only=False),
-        Mul((Poch(_q(1, -1), 1), Inv(Poch(_q(1), 1)))),
+        Mul((Poch(_q(1, -1), 1), Pow(Poch(_q(1), 1), -1))),
     )
     case(
         "remark-9.1-F-overpartitions",
@@ -517,7 +506,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         FamilyGF("B"),
         Add((
             Mul((Monomial(1, 2), Poch(_q(2, -1), 1), Poch(_q(4, -1), 1),
-                 Inv(Poch(_q(2), 4)), Inv(Poch(_q(6), 4)))),
+                 Pow(Poch(_q(2), 4), -1), Pow(Poch(_q(6), 4), -1))),
             RationalGF((0, -1), ((-1, 1, 1), (-1, 3, 1))),
         )),
     )
@@ -551,7 +540,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
             Mul((
                 RationalGF((0, 0, 0, 4, -2, 2), ((-1, 1, 1), (-1, 3, 2))),
                 Poch(_q(2, -1), 2), Poch(_q(4, -1), 2),
-                Inv(Poch(_q(1), 2)), Inv(Poch(_q(1), 2)),
+                Pow(Poch(_q(1), 2), -1), Pow(Poch(_q(1), 2), -1),
             )),
             RationalGF((0, 0, 1, -1), ((-1, 1, 1), (-1, 3, 2))),
         )),
@@ -597,7 +586,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
             Scale(-1, Mul((
                 Poch(_q(1), 2), Poch(_q(1), 2),
                 RationalGF((1,), ((-1, 1, 2),)),
-                Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(2, -1), 2)),
+                Pow(Poch(_q(2, -1), 2), -1), Pow(Poch(_q(2, -1), 2), -1),
             ))),
         )),
         notes=(
@@ -617,7 +606,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
                 Const(2),
                 Scale(-1, Mul((
                     Poch(_q(1), 2), Poch(_q(3), 2),
-                    Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(4, -1), 2)),
+                    Pow(Poch(_q(2, -1), 2), -1), Pow(Poch(_q(4, -1), 2), -1),
                 ))),
             )),
         )),
@@ -636,7 +625,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
             Mul((
                 RationalGF((0, 0, 1, 0, -1), ((-1, 1, 2), (-1, 3, 2))),
                 Poch(_q(1), 2), Poch(_q(1), 2),
-                Inv(Poch(_q(2, -1), 2)), Inv(Poch(_q(4, -1), 2)),
+                Pow(Poch(_q(2, -1), 2), -1), Pow(Poch(_q(4, -1), 2), -1),
             )),
             RationalGF((0, 0, -2, 0, 0, 0, 2), ((-1, 1, 2), (-1, 3, 2))),
             RationalGF((0, 0, 2), ((-1, 3, 2),)),
@@ -760,11 +749,10 @@ def _effective_order(case: IdentityCase, order: Optional[int], bulk: bool) -> tu
     acceptance criterion 2 requires.  An explicit single-case request may
     climb to the enumeration budget, a clamp kept until the benchmark's
     catalog-deep workload, which checks each case at order 120, is re-baselined.
+    A negative order passes through to ``evaluate``, which refuses it.
     """
     if order is None:
         return case.default_order, ""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if not case.enumeration_backed:
         return order, ""
     if bulk:

@@ -164,6 +164,7 @@ class Series:
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "Series":
         """The single term coefficient * q^exponent, truncated to `order`."""
+        _check_order(order)
         if exponent < 0:
             raise SeriesError("negative exponents are not representable")
         c = [0] * (order + 1)
@@ -174,6 +175,7 @@ class Series:
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[int], order: int) -> "Series":
         """Embed an integer polynomial, truncating or zero-padding to `order`."""
+        _check_order(order)
         c = [int(x) for x in coeffs[: order + 1]]
         c += [0] * (order + 1 - len(c))
         return cls(c)
@@ -335,8 +337,7 @@ def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:
 
 def equal_up_to(a: Series, b: Series, n: int) -> Comparison:
     """Compare coefficients of q^0..q^n; report the first mismatch if any."""
-    if n < 0:
-        raise SeriesError(f"cannot compare through q^{n}: the order must be nonnegative")
+    _check_order(n)
     if n > a.order or n > b.order:
         raise SeriesError(
             f"cannot compare through q^{n}: orders are {a.order} and {b.order}"

@@ -472,6 +472,13 @@ _E15 = str(10**15)
 _TOO_LARGE = f"error: order {_E15} is too large to evaluate in memory"
 
 USAGE_ERRORS = [
+    (None, (), "error: the following arguments are required: command"),
+    (None, ("verify",), "error: one of the arguments --id --all is required"),
+    (
+        None,
+        ("coeffs", "--target", "omega", "--order", "x"),
+        "error: argument --order: invalid int value: 'x'",
+    ),
     (None, ("verify", "--all", "--order", "0"), "error: --order must be at least 1"),
     (None, ("verify", "--id", "nosuch"), "error: unknown identity id 'nosuch'"),
     (None, ("verify", "--all", "--order", _E15), _TOO_LARGE),
@@ -515,13 +522,25 @@ USAGE_ERRORS = [
 
 
 @pytest.mark.parametrize(
-    "cap, argv, message", USAGE_ERRORS, ids=[" ".join(argv) for _, argv, _ in USAGE_ERRORS]
+    "cap, argv, message",
+    USAGE_ERRORS,
+    ids=[" ".join(argv) or "qplab" for _, argv, _ in USAGE_ERRORS],
 )
 def test_usage_error_exits_two_with_one_line(capsys, monkeypatch, cap, argv, message):
     if cap is not None:
         monkeypatch.setenv("QPLAB_MAX_ORDER", cap)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [(("--help",), "usage: qplab [-h]"), (("coeffs", "--help"), "usage: qplab coeffs")],
+)
+def test_help_exits_zero_with_the_usage_on_stdout(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
 
 
 # ----------------------------------------------------------------------

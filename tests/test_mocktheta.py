@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -116,6 +117,52 @@ def test_mock_theta_form_validation():
     for sign in (0, 2):
         with pytest.raises(QEngineError):
             nu_fine(5, sign)
+
+
+# ----------------------------------------------------------------------
+# the route table: every key evaluates the evaluator it names
+
+EVALUATORS = {
+    ("omega", "defining"): omega,
+    ("omega", "fine"): omega_fine,
+    ("omega", "ady"): omega_ady,
+    ("psi", "defining"): psi,
+    ("psi", "fine"): psi_fine,
+    ("nu", "defining"): nu,
+    ("nu", "fine"): nu_fine,
+    ("nu", "ady"): nu_ady,
+}
+ALL_KEYS = list(itertools.product(("omega", "psi", "nu"), ("defining", "fine", "ady"), (1, -1)))
+NO_ROUTE = [("omega", "ady", -1), ("psi", "ady", 1), ("psi", "ady", -1), ("nu", "ady", 1)]
+
+
+def _named(function, form, sign, order):
+    """The series the route names: omega and psi at -q flip the variable of
+    their +q sum, nu's defining and fine evaluators take the sign, and each
+    ady sum has one sign only."""
+    evaluator = EVALUATORS[function, form]
+    if form == "ady":
+        return evaluator(order)
+    if function == "nu":
+        return evaluator(order, sign)
+    base = evaluator(order)
+    return base if sign == 1 else base.negate_variable()
+
+
+def test_the_route_table_lists_every_route_but_four():
+    assert sorted(mocktheta._ROUTES) == sorted(set(ALL_KEYS) - set(NO_ROUTE))
+
+
+@pytest.mark.parametrize("key", sorted(mocktheta._ROUTES), ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize("order", [0, 1, 40])
+def test_each_route_evaluates_the_evaluator_it_names(key, order):
+    assert mock_theta(MockThetaForm(*key), order) == _named(*key, order)
+
+
+@pytest.mark.parametrize("key", NO_ROUTE, ids=lambda key: "-".join(map(str, key)))
+def test_a_triple_without_a_route_raises(key):
+    with pytest.raises(QEngineError, match="^no mock theta route"):
+        MockThetaForm(*key)
 
 
 # ----------------------------------------------------------------------

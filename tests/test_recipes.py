@@ -17,7 +17,6 @@ from qplab.recipes import (
     Add,
     Const,
     FamilyGF,
-    Inv,
     Monomial,
     Mul,
     ParseError,
@@ -122,7 +121,7 @@ def test_random_token_strings_parse_or_exit_two(rng, capsys):
 
 
 def _deepest(levels):
-    """Each parenthesis level nests Add, Mul, Inv, Scale and Pow nodes."""
+    """Each parenthesis level nests Add, Mul, Scale and two Pow nodes."""
     text = "1+q"
     for _ in range(levels):
         text = f"2 + 1/-({text})^1"
@@ -323,7 +322,7 @@ def _fold_factor(rng, order):
         node, a = _fold_leaf(rng, order)
         if a[0] not in (1, -1):
             return node, a
-        return Inv(node), oracles.p_inv(a)
+        return Pow(node, -1), oracles.p_inv(a)
     if kind == 5:
         node, a = _fold_leaf(rng, order)
         k = rng.randint(-4, 12)
@@ -459,10 +458,10 @@ def test_fold_keeps_the_signed_terms():
 def test_fold_constant_terms_at_q0():
     q = Parameter.monomial(1)
     # (-1; q)_3 = 2 (1+q)(1+q^2), and (1; q)_2 vanishes
-    doubled = Mul((Poch(Parameter(-1, 0), 1, 3), Inv(Poch(q, 1))))
+    doubled = Mul((Poch(Parameter(-1, 0), 1, 3), Pow(Poch(q, 1), -1)))
     expected = oracles.p_mul(oracles.p_poch_fin(-1, 0, 1, 3, 20), oracles.p_inv(oracles.p_poch_inf(1, 1, 1, 20)))
     assert list(evaluate(doubled, 20).coeffs) == expected and expected[0] == 2
-    assert evaluate(Mul((Poch(Parameter(1, 0), 1, 2), Inv(Poch(q, 1)))), 20).is_zero()
+    assert evaluate(Mul((Poch(Parameter(1, 0), 1, 2), Pow(Poch(q, 1), -1))), 20).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -482,7 +481,7 @@ def test_fold_inverts_a_non_unit_with_the_same_error(node, c0, order):
     # the error that inverting the evaluated series raises, alone and inside a Mul
     message = (f"^cannot invert a series with constant coefficient {c0}; "
                "only unit constants are invertible over the integers$")
-    for inverse in (Inv(node), Mul((Poch(Parameter.monomial(1), 1), Inv(node)))):
+    for inverse in (Pow(node, -1), Mul((Poch(Parameter.monomial(1), 1), Pow(node, -1)))):
         with pytest.raises(SeriesError, match=message):
             evaluate(inverse, order)
 
@@ -493,8 +492,18 @@ def test_fold_inverts_as_the_power_minus_one(text, order):
     # a unit base that folds only at low orders, where it has at most two terms
     base = parse(text)
     expected = oracles.p_inv(list(evaluate(base, order).coeffs))
-    assert list(evaluate(Inv(base), order).coeffs) == expected
     assert list(evaluate(Pow(base, -1), order).coeffs) == expected
+    assert list(evaluate(parse(f"1/({text})"), order).coeffs) == expected
+
+
+def test_pow_minus_one_is_the_one_inverse_node():
+    x = Monomial(1)
+    assert render(Pow(x, -1)) == "1/(q)"
+    assert render(Pow(x, -2)) == "(q)^-2"
+    one_minus_q = Add((Const(1), recipes.Scale(-1, x)))
+    assert parse("1/(1-q)") == Mul((Const(1), Pow(one_minus_q, -1)))
+    assert parse("(1-q)^-1") == Pow(one_minus_q, -1)
+    assert render(parse("1/(1-q)")) == "(1) * (1/(1 + -1*(q)))"
 
 
 def test_inverse_makes_no_product(monkeypatch):

@@ -25,7 +25,6 @@ FIELDS = {
     "recipes.Add": ("terms",),
     "recipes.Scale": ("factor", "node"),
     "recipes.Mul": ("factors",),
-    "recipes.Inv": ("node",),
     "recipes.Pow": ("node", "k"),
     "recipes.NegVar": ("node",),
     "recipes.RationalGF": ("numerator", "denominator"),

@@ -1,6 +1,6 @@
 import pytest
 
-from qplab import family_gf, mocktheta, qengine, series
+from qplab import family_gf, mocktheta, qengine, registry, series
 from qplab.mocktheta import MockThetaForm
 from qplab.qengine import Parameter
 from qplab.series import Series, SeriesError, equal_up_to, linear_combine
@@ -135,6 +135,8 @@ ORDER_EVALUATORS = {
     "rational_series": lambda order: qengine.rational_series([1, 1], [(1, 1, 2)], order),
     "Series.zero": Series.zero,
     "Series.one": Series.one,
+    "Series.monomial": lambda order: Series.monomial(1, order),
+    "Series.from_polynomial": lambda order: Series.from_polynomial([1, 2], order),
 }
 
 
@@ -145,6 +147,28 @@ def test_evaluators_refuse_a_negative_order_and_take_zero(evaluator):
     ):
         evaluator(-1)
     assert evaluator(0).order == 0
+
+
+# the entry points that take an order and compare through it
+ORDER_COMPARISONS = {
+    "equal_up_to": lambda order: equal_up_to(S(1, 2), S(1, 2), order).equal,
+    "registry.verify": lambda order: registry.verify("thm-2.2-omega", order).order_checked == order,
+    "registry.verify-enumeration-backed": (
+        lambda order: registry.verify("thm-1.2-a", order).order_checked == order
+    ),
+    "registry.verify_all": lambda order: all(
+        r.order_checked == order for r in registry.verify_all(order)
+    ),
+}
+
+
+@pytest.mark.parametrize("compare", ORDER_COMPARISONS.values(), ids=ORDER_COMPARISONS)
+def test_comparisons_refuse_a_negative_order_and_take_zero(compare):
+    with pytest.raises(
+        SeriesError, match=r"^cannot evaluate through q\^-1: the order must be nonnegative$"
+    ):
+        compare(-1)
+    assert compare(0)
 
 
 def test_equal_up_to_qomega_vs_psi():
