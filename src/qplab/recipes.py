@@ -12,16 +12,17 @@ directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
 and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
 
-1/x is ``Pow(x, -1)``, the one node for an inverse; it renders as
-``1/(x)``.  A ``Mul`` or ``Pow`` folds into qengine's exponent vector
-(``qengine._Product``) and is evaluated by ``_Product.series`` in one pass.
-``Poch`` factors, factors whose series has at most two terms c*q^m and
-+-c*q^(m+e) (a constant, a monomial, a binomial 1 +- q^e), and ``Pow`` or
-``Mul`` of such factors fold.  Any other factor of a ``Mul`` is evaluated
-and multiplied in afterwards, and a power of one, or of a product whose
-constant is not +-1, is taken by ``_power``, which inverts through
-``Series.invert`` when k < 0.  A lone ``Poch`` is expanded by the binomial
-kernels.
+c*q^e is ``Monomial(e, c)``, the one node for a monomial; a literal c is
+``Monomial(0, c)`` and renders as ``c``.  1/x is ``Pow(x, -1)``, the one
+node for an inverse; it renders as ``1/(x)``.  A ``Mul`` or ``Pow`` folds
+into qengine's exponent vector (``qengine._Product``) and is evaluated by
+``_Product.series`` in one pass.  ``Poch`` factors, factors whose series has
+at most two terms c*q^m and +-c*q^(m+e) (a constant, a monomial, a binomial
+1 +- q^e), and ``Pow`` or ``Mul`` of such factors fold.  Any other factor of
+a ``Mul`` is evaluated and multiplied in afterwards, and a power of one, or
+of a product whose constant is not +-1, is taken by ``_power``, which
+inverts through ``Series.invert`` when k < 0.  A lone ``Poch`` is expanded
+by the binomial kernels.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .qengine import phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
 from . import partitions
 from .family_gf import family_gf_series
-
-
-class Const(_Record):
-    value: int
 
 
 class Monomial(_Record):
@@ -133,7 +130,6 @@ class CubicProgression(_Record):
 
 
 Recipe = Union[
-    Const,
     Monomial,
     Add,
     Scale,
@@ -390,10 +386,10 @@ def _child(node) -> tuple:
 # other functions through module globals at call time, so a wrapper installed
 # on one of those globals sees every call, the recursion included.
 _RULES: dict[type, _Rule] = {
-    Const: _Rule(lambda n, order: Series.one(order).scale(n.value), lambda n: str(n.value)),
     Monomial: _Rule(
         lambda n, order: Series.monomial(n.exponent, order, n.coefficient),
-        lambda n: ("" if n.coefficient == 1 else f"{n.coefficient}*") + _mono_str(1, n.exponent),
+        lambda n: str(n.coefficient) if n.exponent == 0
+        else ("" if n.coefficient == 1 else f"{n.coefficient}*") + _mono_str(1, n.exponent),
     ),
     Add: _Rule(
         lambda n, order: sum((evaluate(t, order) for t in n.terms), Series.zero(order)),
@@ -576,7 +572,7 @@ def parse(text: str) -> Recipe:
             take()
             return Monomial(1)
         if tok is not None and tok.isdigit():
-            return Const(_integer(take()))
+            return Monomial(0, _integer(take()))
         if tok is None:
             raise ParseError("rational expression ends where an operand is expected")
         raise ParseError(f"unexpected token {tok!r} in rational expression")

@@ -28,7 +28,6 @@ from .recipes import (
     Add,
     AdyCounts,
     CoefficientFormula,
-    Const,
     CubicProgression,
     FamilyCounts,
     FamilyGF,
@@ -199,7 +198,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         "(-q;q)_inf (q;q^2)_inf = 1",
         "euler",
         Mul((Poch(_q(1, -1), 1), Poch(_q(1), 2))),
-        Const(1),
+        Monomial(0, 1),
     )
 
     # ---- q-Gauss at its three working specializations
@@ -603,7 +602,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
         Mul((
             RationalGF((0, 0, 1), ((-1, 1, 1), (-1, 3, 1))),
             Add((
-                Const(2),
+                Monomial(0, 2),
                 Scale(-1, Mul((
                     Poch(_q(1), 2), Poch(_q(3), 2),
                     Pow(Poch(_q(2, -1), 2), -1), Pow(Poch(_q(4, -1), 2), -1),
@@ -692,8 +691,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
     )
 
     # ---- enumeration versus template, every family, both weightings
-    signed_modes = {name: spec.weight for name, spec in partitions.FAMILIES.items()}
-    for name in partitions.FAMILIES:
+    for name, spec in partitions.FAMILIES.items():
         case(
             f"xcheck-{name}-unsigned",
             f"family {name}: explicit counting matches the generating function",
@@ -705,7 +703,7 @@ def _build_catalog() -> tuple[IdentityCase, ...]:
             f"xcheck-{name}-signed",
             f"family {name}: signed counting matches the signed generating function",
             "enumeration cross-check",
-            FamilyCounts(name, signed_modes[name]),
+            FamilyCounts(name, spec.weight),
             FamilyGF(name, signed=True),
         )
 

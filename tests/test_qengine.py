@@ -1,8 +1,8 @@
 import pytest
 
-from qplab import qengine
+from qplab import family_gf, qengine, registry
 from qplab.family_gf import FAMILY_NAMES, family_gf_series, family_template
-from qplab.recipes import evaluate
+from qplab.recipes import Mul, Pow, evaluate
 from qplab.series import Series, SeriesError
 from qplab.qengine import (
     LENGTH_INF,
@@ -440,6 +440,40 @@ def test_product_families_match_oracle_products(signed):
     f = oracles.p_inv(oracles.p_mul(oracles.p_mul(odd, odd), oracles.p_poch_inf(-s, 2, 2, n)))
     assert family_gf_series("E", signed, n) == Series(e)
     assert family_gf_series("F", signed, n) == Series(f)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_product_families_match_their_recipe_trees(signed):
+    s = 1 if signed else -1
+    e = Mul((Poch(q(2, s), 2), Poch(q(1, -1), 2), Poch(q(1, -1), 2)))
+    f = Pow(Mul((Poch(q(1), 2), Poch(q(1), 2), Poch(q(2, -s), 2))), -1)
+    if not signed:  # the right sides the catalog checks the E and F counts against
+        assert (e, f) == (registry.get_case("family-E-product").rhs, registry.get_case("family-F-product").rhs)
+    for order in (0, 1, 200):
+        assert family_gf_series("E", signed, order) == evaluate(e, order)
+        assert family_gf_series("F", signed, order) == evaluate(f, order)
+
+
+@pytest.mark.parametrize("signed", [False, True, None, 0, 1, 2])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_gf_reads_signed_as_a_truth_value(name, signed):
+    assert family_gf_series(name, signed, 40) == family_gf_series(name, bool(signed), 40)
+
+
+def test_family_table_lists_each_family_once_in_order():
+    assert FAMILY_NAMES == ("E", "F", "Tomega", "Tpsi", "Tnu", "A", "B", "C")
+    assert set(family_gf._ROUTES) == {(name, signed) for name in FAMILY_NAMES for signed in (False, True)}
+    with pytest.raises(KeyError) as info:
+        family_gf_series("Z", False, 8)
+    assert info.value.args == ("unknown family 'Z'",)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_family_template_reads_the_table(signed):
+    for name in ("Tomega", "Tpsi", "Tnu", "A", "B", "C"):
+        assert family_template(name, signed) is family_gf._ROUTES[(name, signed)]
+    for name in ("E", "F", "Z"):
+        assert family_template(name, signed) is None
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])

@@ -8,14 +8,13 @@ import sys
 
 import pytest
 
-from qplab import qengine, recipes, series
+from qplab import qengine, recipes, registry, series
 from qplab.cli import main
 from qplab.mocktheta import MockThetaForm
 from qplab.qengine import LENGTH_INF, Parameter, Poch, PochFactor, QEngineError, TermTemplate
 from qplab.recipes import (
     MAX_DEPTH,
     Add,
-    Const,
     FamilyGF,
     Monomial,
     Mul,
@@ -308,7 +307,7 @@ def _fold_leaf(rng, order):
         return parse(text), oracles.p_binom(sign, e, order)
     if kind == 2:
         c = rng.choice((1, -1, 2, -3))
-        return Const(c), oracles.p_mono(0, order, c)
+        return Monomial(0, c), oracles.p_mono(0, order, c)
     m, c = rng.randint(0, 3), rng.choice((1, -1, 2))
     return Monomial(m, c), oracles.p_mono(m, order, c)
 
@@ -452,7 +451,7 @@ def test_fold_keeps_the_signed_terms():
     product = recipes._fold(node, 30)
     assert (product.const, product.shift) == (1, 0)
     assert {(-1, 1), (1, 1), (-1, 2)} <= set(product.exponents)
-    assert evaluate(node, 30) == evaluate(Const(1), 30)
+    assert evaluate(node, 30) == evaluate(Monomial(0, 1), 30)
 
 
 def test_fold_constant_terms_at_q0():
@@ -471,7 +470,7 @@ def test_fold_constant_terms_at_q0():
         (Poch(Parameter(-1, 0), 2), 2),
         (Mul((Monomial(1), Poch(Parameter.monomial(1), 1))), 0),
         (Monomial(0, 2), 2),
-        (Const(0), 0),
+        (Monomial(0, 0), 0),
         (parse("2+q+q^2"), 2),
     ],
     ids=["finite-zero", "minus-q0", "shifted", "doubled-monomial", "zero", "dense"],
@@ -496,12 +495,34 @@ def test_fold_inverts_as_the_power_minus_one(text, order):
     assert list(evaluate(parse(f"1/({text})"), order).coeffs) == expected
 
 
+@pytest.mark.parametrize("c", [0, 1, -1, 2, 7, 10**40])
+def test_monomial_at_exponent_zero_is_the_one_constant_node(c):
+    assert render(Monomial(0, c)) == str(c)
+    for order in (0, 1, 40):
+        assert evaluate(Monomial(0, c), order) == series.Series.one(order).scale(c)
+    if c >= 0:
+        assert parse(str(c)) == Monomial(0, c)
+
+
+def test_one_catalog_side_round_trips_through_parse():
+    same = []
+    for case in registry.CATALOG:
+        for side in (case.lhs, case.rhs):
+            try:
+                again = parse(render(side))
+            except ParseError:
+                continue
+            if again == side:
+                same.append((case.id, render(side)))
+    assert same == [("euler-reciprocal", "1")]
+
+
 def test_pow_minus_one_is_the_one_inverse_node():
     x = Monomial(1)
     assert render(Pow(x, -1)) == "1/(q)"
     assert render(Pow(x, -2)) == "(q)^-2"
-    one_minus_q = Add((Const(1), recipes.Scale(-1, x)))
-    assert parse("1/(1-q)") == Mul((Const(1), Pow(one_minus_q, -1)))
+    one_minus_q = Add((Monomial(0, 1), recipes.Scale(-1, x)))
+    assert parse("1/(1-q)") == Mul((Monomial(0, 1), Pow(one_minus_q, -1)))
     assert parse("(1-q)^-1") == Pow(one_minus_q, -1)
     assert render(parse("1/(1-q)")) == "(1) * (1/(1 + -1*(q)))"
 

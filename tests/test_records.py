@@ -6,7 +6,7 @@ import pytest
 import qplab.cli  # noqa: F401  (loads every module, so every record class exists)
 from qplab import partitions, recipes, registry
 from qplab.qengine import Parameter, QEngineError
-from qplab.recipes import Add, Const, Mul
+from qplab.recipes import Add, Monomial, Mul
 from qplab.series import _Record
 
 # every record class and its fields, in order
@@ -20,7 +20,6 @@ FIELDS = {
     "partitions.ColoredPart": ("value", "color"),
     "partitions.Cell": ("color", "parity", "distinct", "min_offset"),
     "partitions.FamilySpec": ("name", "anchor", "cells", "weight"),
-    "recipes.Const": ("value",),
     "recipes.Monomial": ("exponent", "coefficient"),
     "recipes.Add": ("terms",),
     "recipes.Scale": ("factor", "node"),
@@ -138,10 +137,10 @@ def test_repr_names_each_field(key):
 
 
 def test_records_of_two_classes_never_compare_equal():
-    x = Const(1)
+    x = Monomial(0, 1)
     assert Mul((x,)) != Add((x,))
     assert not Mul((x,)) == Add((x,))
-    assert repr(Const(1)) == "Const(value=1)"
+    assert repr(Monomial(0, 1)) == "Monomial(exponent=0, coefficient=1)"
     assert repr(Parameter(-1, 2)) == "-q^2"
 
 
