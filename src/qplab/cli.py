@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 from .series import SeriesError
 from . import partitions, recipes, registry
+from .family_gf import _unknown_family
 from .mocktheta import MockThetaForm
 from .recipes import FamilyGF, Theta
 
@@ -154,8 +155,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.family not in partitions.FAMILIES:
-        choices = ", ".join(partitions.FAMILIES)
-        raise SystemExit(f"error: unknown family {args.family!r}; choose from {choices}")
+        raise SystemExit(f"error: {_unknown_family(args.family)}")
     # only the listing grows like exp(c sqrt(n)); the counts take O(n^2)
     limit = _capped(partitions.DEFAULT_ENUMERATION_BUDGET) if args.list else _order_cap()
     if args.n < 0 or (limit is not None and args.n > limit):

@@ -55,6 +55,11 @@ _ROUTES = {(name, s == 1): route for s in (1, -1) for name, route in _routes(s).
 FAMILY_NAMES = tuple(dict.fromkeys(name for name, _ in _ROUTES))
 
 
+def _unknown_family(name: str) -> str:
+    """The one message for a name that is not a family, listing those that are."""
+    return f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}"
+
+
 def family_template(name: str, signed: bool) -> TermTemplate | None:
     """The smallest-part template, built once at import, or None for the product-form families."""
     route = _ROUTES.get((name, bool(signed)))
@@ -65,7 +70,7 @@ def family_gf_series(name: str, signed: bool, order: int) -> Series:
     """Evaluate the family's generating function to the given order."""
     route = _ROUTES.get((name, bool(signed)))
     if route is None:
-        raise KeyError(f"unknown family {name!r}")
+        raise KeyError(_unknown_family(name))
     _check_order(order)
     if isinstance(route, TermTemplate):
         return sum_over_smallest(route, order)

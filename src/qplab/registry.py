@@ -10,9 +10,9 @@ that it is able to fail.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Optional
 
-from .series import Comparison, _Record, equal_up_to
+from .series import Comparison, Series, _Record, equal_up_to
 from .qengine import (
     LENGTH_INF,
     LENGTH_N,
@@ -41,6 +41,7 @@ from .recipes import (
     Recipe,
     Scale,
     Theta,
+    _Run,
     evaluate,
     render,
     uses_enumeration,
@@ -762,13 +763,15 @@ def _effective_order(case: IdentityCase, order: Optional[int], bulk: bool) -> tu
     return order, ""
 
 
-def _run_case(case: IdentityCase, order: int, clamp_note: str) -> IdentityReport:
+def _run_case(
+    case: IdentityCase, order: int, clamp_note: str, evaluate_side: Callable[[Recipe, int], Series]
+) -> IdentityReport:
     notes = case.notes
     if clamp_note:
         notes = f"{notes}; {clamp_note}" if notes else clamp_note
     start = time.perf_counter()
-    lhs = evaluate(case.lhs, order)
-    rhs = evaluate(case.rhs, order)
+    lhs = evaluate_side(case.lhs, order)
+    rhs = evaluate_side(case.rhs, order)
     cmp = equal_up_to(lhs, rhs, order)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return IdentityReport(case.id, order, None if cmp.equal else cmp, notes, elapsed_ms)
@@ -778,16 +781,19 @@ def verify(case_id: str, order: Optional[int] = None) -> IdentityReport:
     """Evaluate both sides of one case and compare exactly through the order."""
     case = get_case(case_id)
     effective, clamp_note = _effective_order(case, order, bulk=False)
-    return _run_case(case, effective, clamp_note)
+    return _run_case(case, effective, clamp_note, evaluate)
 
 
 def verify_all(order: Optional[int] = None) -> list[IdentityReport]:
-    """One report per registered case, in id order."""
-    reports = []
-    for case in CATALOG:
-        effective, clamp_note = _effective_order(case, order, bulk=True)
-        reports.append(_run_case(case, effective, clamp_note))
-    return reports
+    """One report per registered case, in id order.
+
+    The run computes each (node, order) that recurs in it once, except
+    between a case's own two sides (``recipes._Run``); nothing it stores
+    outlives the call.
+    """
+    runs = [(case, *_effective_order(case, order, bulk=True)) for case in CATALOG]
+    with _Run([(side, n) for case, n, _ in runs for side in (case.lhs, case.rhs)]) as run:
+        return [_run_case(case, n, note, run.evaluate_side) for case, n, note in runs]
 
 
 def describe_sides(case: IdentityCase) -> tuple[str, str]:

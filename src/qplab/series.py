@@ -57,7 +57,8 @@ class _Record:
     field's default.  The base gives every record what ``@dataclass(frozen=True)``
     would generate for it: an ``__init__`` taking the fields by position or
     keyword, which then calls ``__post_init__`` if the class has one; ``==``
-    and ``hash`` over the field tuple, between instances of one class only;
+    and ``hash`` over the field tuple, between instances of one class only,
+    the hash computed once per instance;
     the repr ``Name(field=value, ...)``; and assignment and deletion that
     raise AttributeError.  The methods are written once here rather than
     generated per class, because generating them costs import time that
@@ -67,6 +68,7 @@ class _Record:
     __slots__ = ()
     _fields = ()
     _defaults = {}
+    _hash = None  # the instance's own, once hash() has computed it
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -110,7 +112,15 @@ class _Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # fields never change, so a record hashes its field tuple once: a
+        # dict keyed by recipe trees would otherwise re-hash a whole subtree
+        # on every lookup.  The value sits outside the fields, so repr and ==
+        # never see it; an unhashable field raises here on every call.
+        h = self._hash
+        if h is None:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         body = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

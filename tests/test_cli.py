@@ -485,7 +485,11 @@ USAGE_ERRORS = [
     (None, ("verify", "--id", "thm-2.4-psi", "--order", _E15), _TOO_LARGE),
     (None, ("coeffs", "--target", "omega", "--order", "-1"), "error: --order must be nonnegative"),
     (None, ("coeffs", "--target", "zeta"), "error: unknown coefficient target 'zeta'"),
-    (None, ("coeffs", "--target", "family:Z"), "error: unknown family 'Z'"),
+    (
+        None,
+        ("coeffs", "--target", "family:Z"),
+        "error: unknown family 'Z'; choose from E, F, Tomega, Tpsi, Tnu, A, B, C",
+    ),
     (None, ("coeffs", "--target", "family:E:x"), "error: malformed family target 'family:E:x'"),
     (
         None,

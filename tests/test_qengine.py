@@ -1,6 +1,6 @@
 import pytest
 
-from qplab import family_gf, qengine, registry
+from qplab import family_gf, partitions, qengine, registry
 from qplab.family_gf import FAMILY_NAMES, family_gf_series, family_template
 from qplab.recipes import Mul, Pow, evaluate
 from qplab.series import Series, SeriesError
@@ -465,7 +465,11 @@ def test_family_table_lists_each_family_once_in_order():
     assert set(family_gf._ROUTES) == {(name, signed) for name in FAMILY_NAMES for signed in (False, True)}
     with pytest.raises(KeyError) as info:
         family_gf_series("Z", False, 8)
-    assert info.value.args == ("unknown family 'Z'",)
+    assert info.value.args == ("unknown family 'Z'; choose from E, F, Tomega, Tpsi, Tnu, A, B, C",)
+
+
+def test_the_family_table_and_the_family_specs_name_the_same_families():
+    assert FAMILY_NAMES == tuple(partitions.FAMILIES)
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])

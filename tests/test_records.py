@@ -100,6 +100,34 @@ def test_a_copy_equals_and_hashes_like_the_original(key):
 
 
 @pytest.mark.parametrize("key", sorted(FIELDS))
+def test_a_record_hashes_as_its_field_tuple_on_every_call(key):
+    values = _values(SAMPLES[key])
+    record = type(SAMPLES[key])(*values)
+    assert [hash(record) for _ in range(3)] == [hash(values)] * 3
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
+def test_the_computed_hash_is_no_field(key):
+    values = _values(SAMPLES[key])
+    hashed, fresh = type(SAMPLES[key])(*values), type(SAMPLES[key])(*values)
+    hash(hashed)
+    assert hashed == fresh and fresh == hashed
+    assert repr(hashed) == repr(fresh)
+    assert type(hashed)._fields == FIELDS[key]
+    for name in (FIELDS[key][0], "_hash"):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(hashed, name, 0)
+    assert hash(hashed) == hash(values)
+
+
+def test_an_unhashable_field_raises_type_error_on_every_call():
+    record = Add([Monomial(0, 1)])
+    for _ in range(3):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
+@pytest.mark.parametrize("key", sorted(FIELDS))
 def test_fields_cannot_be_assigned_or_deleted(key):
     record = SAMPLES[key]
     field = FIELDS[key][0]
