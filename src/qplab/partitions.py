@@ -57,6 +57,11 @@ class PartitionError(ValueError):
     """Raised for requests outside a family's range or, for the listing, the budget's."""
 
 
+def _check(value, allowed, what: str) -> None:
+    if value not in allowed:
+        raise PartitionError(f"unknown {what} {value!r}")
+
+
 class ColoredPart(_Record):
     value: int
     color: str
@@ -64,8 +69,7 @@ class ColoredPart(_Record):
     def __post_init__(self):
         if self.value < 1:
             raise PartitionError("part values must be positive")
-        if self.color not in (BLUE, GREEN):
-            raise PartitionError(f"unknown color {self.color!r}")
+        _check(self.color, (BLUE, GREEN), "color")
 
     @property
     def parity(self) -> str:
@@ -128,10 +132,8 @@ class TwoColorPartition:
         return tuple(map(self._table.parts.__getitem__, self._key))
 
     def count(self, color: str | None = None, parity: str | None = None) -> int:
-        if color not in (None, BLUE, GREEN):
-            raise PartitionError(f"unknown color {color!r}")
-        if parity not in (None, ODD, EVEN):
-            raise PartitionError(f"unknown parity {parity!r}")
+        _check(color, (None, BLUE, GREEN), "color")
+        _check(parity, (None, ODD, EVEN), "parity")
         return sum(
             1
             for p in map(self._table.parts.__getitem__, self._key)
@@ -163,7 +165,8 @@ class Cell(_Record):
 
     A distinct cell holds each value at most once.  In an anchored family the
     cell's values start at smallest + `min_offset`; in an unanchored one they
-    start at the least value of the parity, 1 or 2.
+    start at the least value of the parity, 1 or 2.  A negative offset is
+    refused.
     """
 
     color: str
@@ -171,18 +174,43 @@ class Cell(_Record):
     distinct: bool = False
     min_offset: int = 0
 
+    def __post_init__(self):
+        _check(self.color, (BLUE, GREEN), "color")
+        _check(self.parity, (ODD, EVEN), "parity")
+        if self.min_offset < 0:
+            raise PartitionError(f"negative min_offset {self.min_offset}")
+
 
 class FamilySpec(_Record):
     """A family: the colors holding its odd smallest part, and its cells.
 
     `anchor` is () when the family has no smallest-part rule; `cells` lists
     only the cells the family allows, and a part outside them is forbidden.
+    Construction refuses two cells of one (color, parity) and, in an
+    anchored family, an offset that starts a cell at the other parity: the
+    smallest part is odd, so an odd cell's offset must be even and an even
+    cell's odd.
     """
 
     name: str
     anchor: tuple[str, ...]
     cells: tuple[Cell, ...]
     weight: str = WEIGHT_EVEN_PARTS
+
+    def __post_init__(self):
+        for color in self.anchor:
+            _check(color, (BLUE, GREEN), "anchor color")
+        _check(self.weight, WEIGHT_MODES, "weight mode")
+        seen = set()
+        for cell in self.cells:
+            if (cell.color, cell.parity) in seen:
+                raise PartitionError(f"two cells of color {cell.color!r} and parity {cell.parity!r}")
+            seen.add((cell.color, cell.parity))
+            if self.anchor and (cell.min_offset % 2 == 0) != (cell.parity == ODD):
+                raise PartitionError(
+                    f"cell {cell.color} {cell.parity}: min_offset {cell.min_offset} "
+                    "starts it at the other parity"
+                )
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -284,8 +312,7 @@ def family_series(
         raise PartitionError(
             f"order {order} exceeds the enumeration budget {budget}"
         )
-    if mode not in WEIGHT_MODES:
-        raise PartitionError(f"unknown weight mode {mode!r}")
+    _check(mode, WEIGHT_MODES, "weight mode")
     if not spec.anchor:
         return Series._trusted(_cell_product(spec, None, order, mode))
     accumulate = add

@@ -152,15 +152,15 @@ Recipe = Union[
 
 _FORMULAS = {
     "n": lambda n: n,
-    "floor((n+2)/3)": lambda n: (n + 2) // 3 if n else 0,
+    "floor((n+2)/3)": lambda n: (n + 2) // 3,
 }
 
 
 def evaluate(node: Recipe, order: int) -> Series:
     """Evaluate a recipe tree to a series of the given order.
 
-    Inside a ``_Run`` a subtree that the run evaluates more than once is
-    computed once and read back; outside one every call computes.
+    Inside a ``_Run`` each (node, order) is computed once, kept until the
+    run ends and read back; outside one every call computes.
     """
     _check_order(order)
     if _run is not None:
@@ -252,59 +252,23 @@ def _power_by_recurrence(f: tuple[int, ...], k: int) -> list[int]:
     return _log_derivative_recurrence(f, p, f[0] ** abs(k), len(f) - 1)
 
 
-#: the factor types ``_fold`` takes apart itself, without a call of evaluate
-_FOLDED = (Poch, Mul, Pow)
-
-
-def _walk(node: Recipe, visit: Callable[[Recipe], bool], folded: bool = False) -> None:
-    """Call visit on node and on each subtree that evaluating node passes to evaluate, in call order.
-
-    A false return from visit skips the subtree's children, as a result
-    read back instead of computed does.  A Poch, Mul or Pow factor of a Mul
-    or Pow is folded, not evaluated, so it is not visited but its children
-    are walked.
-    """
-    if folded or visit(node):
-        folds = type(node) in (Mul, Pow)
-        for child in _rule(node).children(node):
-            _walk(child, visit, folds and type(child) in _FOLDED)
-
-
 class _Run:
-    """One bulk run's memo: each (node, order) it evaluates more than once is computed once.
+    """One bulk run's memo: each (node, order) it evaluates is computed once.
 
-    ``sides`` lists the (tree, order) of every side the run evaluates, in
-    order, each case's two sides one after the other.  A walk over them
-    first counts the calls of evaluate that each key will get.  Only a key
-    counted more than once is stored, from its first evaluation to its last
-    use.  An entry remembers the side that stored it, and the second side
-    of a case never reads an entry its own first side stored: it computes
-    the subtree again, so that the two sides stay independent.  Entering a
-    run makes ``evaluate`` use it; leaving it, normally or by an exception,
-    drops every entry.  The active run is one module variable, so a run is
-    for one thread at a time.
+    ``entries`` maps each (node, order) the run has computed to the side
+    that computed it and its series, and keeps it until the run ends.  The
+    run's sides are numbered in order, each case's two sides one after the
+    other, so side s and side s ^ 1 belong to one case.  The second side of
+    a case never reads an entry its own first side stored: it computes the
+    subtree again and overwrites the entry, so that the two sides stay
+    independent.  Entering a run makes ``evaluate`` use it; leaving it,
+    normally or by an exception, drops every entry.  The active run is one
+    module variable, so a run is for one thread at a time.
     """
 
-    def __init__(self, sides: list[tuple[Recipe, int]]):
+    def __init__(self):
         self.side = -1
         self.entries: dict[tuple, tuple[int, Series]] = {}
-        uses: dict[tuple, int] = {}
-        stored_by: dict[tuple, int] = {}
-        for side, (tree, order) in enumerate(sides):
-            def visit(node, side=side, order=order):
-                key = (node, order)
-                uses[key] = uses.get(key, 0) + 1
-                if key in stored_by and self._readable(stored_by[key], side):
-                    return False
-                stored_by[key] = side
-                return True
-
-            _walk(tree, visit)
-        self.uses = {key: n for key, n in uses.items() if n > 1}
-
-    @staticmethod
-    def _readable(stored_by: int, side: int) -> bool:
-        return stored_by == side or stored_by // 2 != side // 2
 
     def __enter__(self) -> "_Run":
         global _run
@@ -315,7 +279,6 @@ class _Run:
         global _run
         _run = None
         self.entries.clear()
-        self.uses.clear()
 
     def evaluate_side(self, node: Recipe, order: int) -> Series:
         """Evaluate the run's next side."""
@@ -324,16 +287,9 @@ class _Run:
 
     def evaluate(self, node: Recipe, order: int) -> Series:
         key = (node, order)
-        left = self.uses.get(key)
-        if left is None:
-            return _rule(node).evaluate(node, order)
         entry = self.entries.get(key)
-        if entry is None or not self._readable(entry[0], self.side):
+        if entry is None or entry[0] == self.side ^ 1:
             entry = self.entries[key] = (self.side, _rule(node).evaluate(node, order))
-        if left > 1:
-            self.uses[key] = left - 1
-        else:
-            del self.uses[key], self.entries[key]
         return entry[1]
 
 
@@ -368,8 +324,6 @@ def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
     raises from Poch.exponents.  A negative power of a non-unit raises
     series._non_unit's error, from _Product.__pow__ for a shifted product
     with constant +-1 and from _power's Series.invert for any other.
-    The types taken apart here without a call of evaluate are ``_FOLDED``,
-    which ``_walk`` reads to visit what evaluate is called on.
     """
     kind = type(node)
     if kind is Poch:

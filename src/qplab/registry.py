@@ -787,12 +787,13 @@ def verify(case_id: str, order: Optional[int] = None) -> IdentityReport:
 def verify_all(order: Optional[int] = None) -> list[IdentityReport]:
     """One report per registered case, in id order.
 
-    The run computes each (node, order) that recurs in it once, except
-    between a case's own two sides (``recipes._Run``); nothing it stores
-    outlives the call.
+    The run computes each (node, order) once and keeps it until the call
+    ends, except that a case's second side computes again what its own
+    first side stored (``recipes._Run``); nothing it stores outlives the
+    call.
     """
     runs = [(case, *_effective_order(case, order, bulk=True)) for case in CATALOG]
-    with _Run([(side, n) for case, n, _ in runs for side in (case.lhs, case.rhs)]) as run:
+    with _Run() as run:
         return [_run_case(case, n, note, run.evaluate_side) for case, n, note in runs]
 
 

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -339,6 +340,37 @@ def test_family_cells_carry_the_anchor_rule(name):
         if cell.distinct and cell.parity == P.ODD and cell.color in spec.anchor:
             # the anchor holds the smallest value, which this cell may not repeat
             assert cell.min_offset >= 2, f"{name}: {cell}"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: P.Cell("r", P.ODD), "unknown color 'r'"),
+    (lambda: P.Cell(P.BLUE, "odds"), "unknown parity 'odds'"),
+    (lambda: P.FamilySpec("X", ("r",), (P.Cell(P.BLUE, P.ODD),)), "unknown anchor color 'r'"),
+    # listed and counted, such a cell would reach below the smallest part
+    (lambda: P.Cell(P.BLUE, P.ODD, min_offset=-2), "negative min_offset -2"),
+    # listed, it puts the odd part 1 in an even cell
+    (lambda: P.FamilySpec("X", (P.BLUE,), (P.Cell(P.GREEN, P.EVEN),)),
+     "cell g even: min_offset 0 starts it at the other parity"),
+    (lambda: P.FamilySpec("X", (P.BLUE,), (P.Cell(P.BLUE, P.ODD, min_offset=1),)),
+     "cell b odd: min_offset 1 starts it at the other parity"),
+    # listed, its parts count once; counted, each cell contributes a factor
+    (lambda: P.FamilySpec("X", (), (P.Cell(P.BLUE, P.ODD), P.Cell(P.BLUE, P.ODD, True))),
+     "two cells of color 'b' and parity 'odd'"),
+    (lambda: P.FamilySpec("X", (), (P.Cell(P.BLUE, P.ODD),), "odd_parts"),
+     "unknown weight mode 'odd_parts'"),
+], ids=["color", "parity", "anchor", "negative-offset", "even-offset-parity",
+        "odd-offset-parity", "duplicate-cell", "weight"])
+def test_a_spec_outside_the_docstrings_is_refused(build, message):
+    with pytest.raises(P.PartitionError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_repeated_anchor_color_is_a_family():
+    # the smallest part held twice in blue: listing and counts agree
+    spec = P.FamilySpec("X", (P.BLUE, P.BLUE), (P.Cell(P.BLUE, P.ODD), P.Cell(P.GREEN, P.EVEN, True, 1)))
+    counts = P.family_series(spec, 14).coeffs
+    assert [len(P.enumerate_family(spec, n)) for n in range(15)] == list(counts)
+    assert counts[2] == 1 and any(counts[3:])
 
 
 def test_family_series_rejects_an_unknown_mode():

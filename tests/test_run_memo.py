@@ -1,4 +1,4 @@
-"""One ``verify_all`` run computes each repeated (node, order) once (``recipes._Run``).
+"""One ``verify_all`` run computes each (node, order) once (``recipes._Run``).
 
 The fixtures count the calls of the ``_RULES`` evaluators, which compute; a
 result read back from the run's memo makes none.
@@ -85,31 +85,11 @@ def test_a_case_whose_sides_share_a_subtree_computes_it_on_each_side(computed, m
     assert computed[(shared, 60)] == 2
 
 
-@pytest.mark.parametrize("order", [None, 200])
-def test_the_walk_visits_what_evaluate_is_called_on(monkeypatch, order):
-    called = []
-    evaluate = recipes.evaluate
-
-    def record(node, n):
-        called.append(node)
-        return evaluate(node, n)
-
-    monkeypatch.setattr(recipes, "evaluate", record)
-    for case in registry.CATALOG:
-        n, _ = registry._effective_order(case, order, bulk=True)
-        for side in (case.lhs, case.rhs):
-            visited = []
-            recipes._walk(side, lambda node: visited.append(node) or True)
-            called.clear()
-            record(side, n)
-            assert visited == called, case.id
-
-
 def test_the_memo_is_empty_after_a_run(runs):
     registry.verify_all()
     assert recipes._run is None
     (run,) = runs
-    assert run.entries == {} and run.uses == {}
+    assert run.entries == {}
 
 
 def test_the_memo_is_empty_after_a_case_raises(runs, monkeypatch):
@@ -126,7 +106,7 @@ def test_the_memo_is_empty_after_a_case_raises(runs, monkeypatch):
     assert held[0] > 0
     assert recipes._run is None
     (run,) = runs
-    assert run.entries == {} and run.uses == {}
+    assert run.entries == {}
 
 
 def test_verify_and_coeffs_never_store(computed, runs, capsys):
