@@ -30,9 +30,10 @@ from .qengine import Parameter, QEngineError, phi21, poch_infinite
 class MockThetaForm(_Record):
     """Selects a mock theta function, a computation route and the argument sign.
 
-    The triple must be a key of ``_ROUTES``: the ady route exists only for
-    omega at +q (where it equals q*omega(q)) and for nu at -q (where it
-    equals nu(-q)).
+    The triple must be one of the nine keys of ``_ROUTES``: each function's
+    defining and fine sums at +q, omega's ady sum at +q (q*omega(q)), and
+    nu's two sums at -q, Watson's and the ady sum.  Any other function at -q
+    is ``recipes.NegVar`` of its +q route.
     """
 
     function: str
@@ -188,22 +189,16 @@ def theta_squares(order: int, alternating: bool = False) -> Series:
 
 # One entry per route, keyed by (function, form, argument_sign).  Entries
 # reach the evaluators through module globals at call time, so a wrapper
-# installed on one of those globals sees every call.  omega and psi at -q
-# flip the sign of the variable afterwards; nu takes the sign itself.
+# installed on one of those globals sees every call.
 _ROUTES = {
     ("omega", "defining", 1): lambda order: omega(order),
-    ("omega", "defining", -1): lambda order: omega(order).negate_variable(),
     ("omega", "fine", 1): lambda order: omega_fine(order),
-    ("omega", "fine", -1): lambda order: omega_fine(order).negate_variable(),
     ("omega", "ady", 1): lambda order: omega_ady(order),
     ("psi", "defining", 1): lambda order: psi(order),
-    ("psi", "defining", -1): lambda order: psi(order).negate_variable(),
     ("psi", "fine", 1): lambda order: psi_fine(order),
-    ("psi", "fine", -1): lambda order: psi_fine(order).negate_variable(),
     ("nu", "defining", 1): lambda order: nu(order, 1),
     ("nu", "defining", -1): lambda order: nu(order, -1),
     ("nu", "fine", 1): lambda order: nu_fine(order, 1),
-    ("nu", "fine", -1): lambda order: nu_fine(order, -1),
     ("nu", "ady", -1): lambda order: nu_ady(order),
 }
 

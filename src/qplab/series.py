@@ -23,11 +23,12 @@ multiplies or divides by one at a time (a lone Pochhammer,
 and the tables of ``partitions``) works on a plain list: ``imul_one_minus``
 and ``idiv_one_minus`` update it in place through a top index, and the
 evaluator builds one ``Series`` from it at the end, through the private
-``Series._trusted``, which skips the per-coefficient ``int`` coercion of
+``Series._trusted``, which skips the per-coefficient integer check of
 ``Series(...)``.  The kernels also take e = 0, where the factor is the
 constant 1 - c.  ``mul_one_minus`` and ``div_one_minus`` are the same
-kernels on a copy of a series; nothing in the package calls them, and they
-are kept for outside callers.
+kernels on a copy of a series; nothing in the package calls them, but the
+benchmark's tracer (``perfbench/tracing.py``) wraps both by name, so
+deleting them breaks every traced benchmark run.
 
 Every module imports this one, so it also holds ``_Record``, the base class
 of the package's frozen records.
@@ -137,7 +138,9 @@ class Series:
     """Formal power series in q, truncated after q^order.
 
     Instances are immutable.  ``coeffs[n]`` is the coefficient of q^n and
-    ``len(coeffs) == order + 1`` always holds.
+    ``len(coeffs) == order + 1`` always holds.  ``Series(coeffs)`` stores
+    ``int(c)`` for each coefficient and refuses one that ``int`` would change
+    or cannot convert (1.5, "3"), so a bool or 2.0 is accepted as an int.
     """
 
     __slots__ = ("_coeffs",)
@@ -145,7 +148,14 @@ class Series:
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise SeriesError("a series needs at least its constant coefficient")
-        self._coeffs = tuple(map(int, coeffs))
+        try:
+            ints = tuple(map(int, coeffs))
+            exact = ints == tuple(coeffs)
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise SeriesError("a series' coefficients must be integers")
+        self._coeffs = ints
 
     # ------------------------------------------------------------------
     # constructors
@@ -155,7 +165,7 @@ class Series:
         """A series over `coeffs`, which must be a nonempty sequence of ints.
 
         For coefficients the package computed itself: unlike ``Series(...)``
-        it neither checks the length nor coerces each entry with ``int``.
+        it checks neither the length nor that each entry is an integer.
         """
         s = object.__new__(cls)
         s._coeffs = tuple(coeffs)
@@ -186,7 +196,7 @@ class Series:
     def from_polynomial(cls, coeffs: Sequence[int], order: int) -> "Series":
         """Embed an integer polynomial, truncating or zero-padding to `order`."""
         _check_order(order)
-        c = [int(x) for x in coeffs[: order + 1]]
+        c = list(coeffs[: order + 1])
         c += [0] * (order + 1 - len(c))
         return cls(c)
 

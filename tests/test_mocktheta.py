@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qplab import mocktheta
+from qplab.recipes import NegVar, evaluate
 from qplab.series import Series, idiv_one_minus
 from qplab.qengine import QEngineError
 from qplab.mocktheta import (
@@ -96,9 +97,7 @@ def test_mock_theta_dispatcher():
     assert mock_theta(MockThetaForm("omega"), n) == omega(n)
     assert mock_theta(MockThetaForm("omega", "fine"), n) == omega_fine(n)
     assert mock_theta(MockThetaForm("omega", "ady"), n) == omega_ady(n)
-    assert mock_theta(MockThetaForm("psi", argument_sign=-1), n) == psi(
-        n
-    ).negate_variable()
+    assert evaluate(NegVar(MockThetaForm("psi")), n) == psi(n).negate_variable()
     assert mock_theta(MockThetaForm("nu", argument_sign=-1), n) == nu(n, -1)
     assert mock_theta(MockThetaForm("nu", "ady", -1), n) == nu_ady(n)
 
@@ -133,30 +132,38 @@ EVALUATORS = {
     ("nu", "ady"): nu_ady,
 }
 ALL_KEYS = list(itertools.product(("omega", "psi", "nu"), ("defining", "fine", "ady"), (1, -1)))
-NO_ROUTE = [("omega", "ady", -1), ("psi", "ady", 1), ("psi", "ady", -1), ("nu", "ady", 1)]
+#: q -> -q of these is NegVar of the +q route, so no route takes the sign
+NEGATED = {
+    ("omega", "defining", -1): lambda order: omega(order).negate_variable(),
+    ("omega", "fine", -1): lambda order: omega_fine(order).negate_variable(),
+    ("psi", "defining", -1): lambda order: psi(order).negate_variable(),
+    ("psi", "fine", -1): lambda order: psi_fine(order).negate_variable(),
+    ("nu", "fine", -1): lambda order: nu_fine(order, -1),
+}
+NO_ROUTE = [("omega", "ady", -1), ("psi", "ady", 1), ("psi", "ady", -1), ("nu", "ady", 1), *NEGATED]
 
 
 def _named(function, form, sign, order):
-    """The series the route names: omega and psi at -q flip the variable of
-    their +q sum, nu's defining and fine evaluators take the sign, and each
-    ady sum has one sign only."""
+    """The series the route names: nu's defining and fine evaluators take the
+    sign, and every other route has one sign only."""
     evaluator = EVALUATORS[function, form]
-    if form == "ady":
-        return evaluator(order)
-    if function == "nu":
-        return evaluator(order, sign)
-    base = evaluator(order)
-    return base if sign == 1 else base.negate_variable()
+    return evaluator(order, sign) if function == "nu" and form != "ady" else evaluator(order)
 
 
-def test_the_route_table_lists_every_route_but_four():
+def test_the_route_table_lists_nine_routes():
     assert sorted(mocktheta._ROUTES) == sorted(set(ALL_KEYS) - set(NO_ROUTE))
 
 
-@pytest.mark.parametrize("key", sorted(mocktheta._ROUTES), ids=lambda key: "-".join(map(str, key)))
+@pytest.mark.parametrize(
+    "key", sorted([*mocktheta._ROUTES, *NEGATED]), ids=lambda key: "-".join(map(str, key))
+)
 @pytest.mark.parametrize("order", [0, 1, 40])
 def test_each_route_evaluates_the_evaluator_it_names(key, order):
-    assert mock_theta(MockThetaForm(*key), order) == _named(*key, order)
+    if key in NEGATED:
+        function, form, _ = key
+        assert evaluate(NegVar(MockThetaForm(function, form)), order) == NEGATED[key](order)
+    else:
+        assert mock_theta(MockThetaForm(*key), order) == _named(*key, order)
 
 
 @pytest.mark.parametrize("key", NO_ROUTE, ids=lambda key: "-".join(map(str, key)))

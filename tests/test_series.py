@@ -1,6 +1,6 @@
 import pytest
 
-from qplab import family_gf, mocktheta, qengine, registry, series
+from qplab import family_gf, mocktheta, qengine, recipes, registry, series
 from qplab.mocktheta import MockThetaForm
 from qplab.qengine import Parameter
 from qplab.series import Series, SeriesError, equal_up_to, linear_combine
@@ -118,7 +118,7 @@ ORDER_EVALUATORS = {
         name: getattr(mocktheta, name)
         for name in "omega omega_fine omega_ady psi psi_fine nu nu_fine nu_ady".split()
     },
-    "mock_theta": lambda order: mocktheta.mock_theta(MockThetaForm("psi", argument_sign=-1), order),
+    "mock_theta": lambda order: mocktheta.mock_theta(MockThetaForm("nu", argument_sign=-1), order),
     "theta_squares": mocktheta.theta_squares,
     "phi21": lambda order: qengine.phi21(_Q, _Q, Parameter.zero(), 1, _Q, order),
     "sum_over_smallest": lambda order: qengine.sum_over_smallest(
@@ -360,3 +360,22 @@ def test_public_constructor_still_coerces():
     assert Series._trusted([1, 2, 0]) == s
     with pytest.raises(SeriesError):
         Series([])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Series([1.5, 2.7]),
+        lambda: Series(["3", "4"]),
+        lambda: Series([1, None]),
+        lambda: Series([float("inf")]),
+        lambda: Series.from_polynomial([1.5], 3),
+        lambda: qengine.rational_series([1.5], [(1, 1, 1)], 3),
+        lambda: recipes.evaluate(recipes.Scale(0.5, recipes.Monomial(1)), 4),
+        lambda: recipes.evaluate(recipes.Monomial(1, 0.5), 4),
+    ],
+    ids=["floats", "strings", "none", "inf", "from_polynomial", "rational_series", "Scale", "Monomial"],
+)
+def test_a_coefficient_that_int_would_change_raises(build):
+    with pytest.raises(SeriesError, match="^a series' coefficients must be integers$"):
+        build()
