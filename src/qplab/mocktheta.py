@@ -184,7 +184,7 @@ def theta_squares(order: int, alternating: bool = False) -> Series:
     while n * n <= order:
         out[n * n] = -2 if alternating and n % 2 == 1 else 2
         n += 1
-    return Series(out)
+    return Series._trusted(out)
 
 
 # One entry per route, keyed by (function, form, argument_sign).  Entries

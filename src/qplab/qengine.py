@@ -84,28 +84,16 @@ def poch_infinite(a: Parameter, step: int, order: int) -> Series:
     return _expand(Poch(a, step), order)
 
 
-def _exponents(sign: int, exponent: int, step: int, length: Optional[int], top: int) -> range:
-    """Poch.exponents of sign*q^exponent (sign 0: zero), for callers that step too often to build a Poch."""
-    if length is not None and length < 0:
-        raise QEngineError("Pochhammer length must be nonnegative")
-    if step < 1:
-        raise QEngineError("Pochhammer step must be at least 1")
-    if sign == 0:
-        return range(0)
-    stop = top + 1
-    if length is not None:
-        stop = min(exponent + step * length, stop)
-    elif exponent == 0 and sign == 1:
-        raise QEngineError("(q^0; q^k)_inf vanishes; refusing to build it")
-    return range(exponent, stop, step)
-
-
 def _expand(poch: Poch, order: int) -> Series:
     _check_order(order)
     out = [1] + [0] * order
     for e in poch.exponents(order):
         imul_one_minus(out, poch.a.sign, e, order)
     return Series._trusted(out)
+
+
+#: the one refusal of an infinite product at +q^0, by Poch and PochFactor
+_VANISHES = "(q^0; q^k)_inf vanishes; refusing to build it"
 
 
 class Poch(_Record):
@@ -115,13 +103,21 @@ class Poch(_Record):
     step: int
     length: Optional[int] = None
 
-    def exponents(self, top: int) -> range:
-        """The exponents e <= top of the binomials (1 - a.sign*q^e) whose product this is.
+    def __post_init__(self):
+        if self.length is not None and self.length < 0:
+            raise QEngineError("Pochhammer length must be nonnegative")
+        if self.step < 1:
+            raise QEngineError("Pochhammer step must be at least 1")
+        if self.length is None and self.a.sign == 1 and self.a.exponent == 0:
+            raise QEngineError(_VANISHES)
 
-        The zero parameter gives the empty range.  Raises QEngineError for a
-        negative length, a step below 1 and the infinite product at +q^0.
-        """
-        return _exponents(self.a.sign, self.a.exponent, self.step, self.length, top)
+    def exponents(self, top: int) -> range:
+        """The exponents e <= top of the binomials (1 - a.sign*q^e) whose product this is."""
+        if self.a.is_zero:  # the product is 1
+            return range(0)
+        e = self.a.exponent
+        stop = top + 1 if self.length is None else min(e + self.step * self.length, top + 1)
+        return range(e, stop, self.step)
 
     def series(self, order: int) -> Series:
         if self.length is None:
@@ -129,7 +125,7 @@ class Poch(_Record):
         return poch_finite(self.a, self.step, self.length, order)
 
     def product(self, top: int) -> "_Product":
-        """The product through q^top as an exponent vector; errors are those of `exponents`."""
+        """The product through q^top as an exponent vector."""
         return _binomials(self.a.sign, self.exponents(top))
 
 
@@ -298,7 +294,8 @@ class PochFactor(_Record):
 
     The argument is sign * q^(exp_slope*n + exp_offset) where n is the outer
     summation index; `length` is "n", "n+1", "inf", or a fixed nonnegative
-    integer; denominator factors are inverted.
+    integer; denominator factors are inverted.  The slope is a multiple of
+    the step, which `moves` relies on.
     """
 
     sign: int
@@ -313,8 +310,10 @@ class PochFactor(_Record):
             raise QEngineError("factor sign must be -1 or +1")
         if self.exp_slope < 0:
             raise QEngineError("argument exponent slope must be nonnegative")
-        if self.exp_slope == 0 and self.exp_offset < 0:
-            raise QEngineError("argument exponent must stay nonnegative")
+        if self.exp_offset < 0:  # the least exponent, at n = 0
+            raise QEngineError(
+                "factor exponent became negative" if self.exp_slope else "argument exponent must stay nonnegative"
+            )
         if self.step < 1:
             raise QEngineError("factor step must be at least 1")
         ok = self.length in (LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF) or (
@@ -322,6 +321,10 @@ class PochFactor(_Record):
         )
         if not ok:
             raise QEngineError(f"unsupported factor length {self.length!r}")
+        if self.length == LENGTH_INF and self.sign == 1 and self.exp_offset == 0:
+            raise QEngineError(_VANISHES)
+        if self.exp_slope % self.step:
+            raise QEngineError("argument exponent slope must be a multiple of the factor step")
 
     def _length(self, n: int) -> Optional[int]:
         """The Pochhammer length at index n; None means infinite."""
@@ -335,23 +338,19 @@ class PochFactor(_Record):
     def exponents(self, n: int, top: int) -> range:
         """The exponents e <= top of this factor's binomials (1 - sign*q^e) at index n."""
         e = self.exp_slope * n + self.exp_offset
-        if e < 0:
-            raise QEngineError("factor exponent became negative")
-        return _exponents(self.sign, e, self.step, self._length(n), top)
+        length = self._length(n)
+        stop = top + 1 if length is None else min(e + self.step * length, top + 1)
+        return range(e, stop, self.step)
 
     def moves(self, n: int, top: int) -> tuple[range, range]:
         """Exponents e <= top of the binomials that leave and join the product from n to n+1.
 
-        With slope = k*step both exponent sets are runs of one residue
-        class mod step, the one at n + 1 starting no lower and ending no
-        lower, so going to n + 1 drops a head of the run at n and appends a
-        tail.  For any other slope the two sets lie in different residue
-        classes, so all of the set at n leaves and all of the one at n + 1
-        joins.  Either range is in increasing order.
+        Both exponent sets are runs of one residue class mod step, the one
+        at n + 1 starting no lower and ending no lower, so going to n + 1
+        drops a head of the run at n and appends a tail.  Either range is in
+        increasing order.
         """
         now, after = self.exponents(n, top), self.exponents(n + 1, top)
-        if self.exp_slope % self.step:
-            return now, after
         leaving = range(now.start, min(now.stop, after.start), self.step)
         return leaving, after[len(now) - len(leaving) :]
 
@@ -415,15 +414,12 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     all the factors' binomials (``_rebuild``) and then carried from one n to
     the next: P(n+1) is P(n) times the binomials that join each factor and
     divided by those that leave it (PochFactor.moves), one O(order) kernel
-    call each.  When every factor's
-    exp_slope is a multiple of its step, the shape of every catalog
-    template, only a few binomials move per step and the sum costs
-    O(order^2); any other factor swaps all of its binomials at each step.
-    Where a binomial with exponent 0 would have to be divided out, P(n+1)
-    is rebuilt instead, which raises the non-unit error where a denominator
-    holds that binomial.
-    P(n) is one list, kept only through q^(order - prefix(n)), the part
-    that lands within the order once shifted by q^prefix(n).
+    call each.  A factor's slope is a multiple of its step, so only a few
+    binomials move per step and the sum costs O(order^2).  Where a binomial
+    with exponent 0 would have to be divided out, P(n+1) is rebuilt
+    instead, which raises the non-unit error where a denominator holds that
+    binomial.  P(n) is one list, kept only through q^(order - prefix(n)),
+    the part that lands within the order once shifted by q^prefix(n).
     """
     _check_order(order)
     total = [0] * (order + 1)

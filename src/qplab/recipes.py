@@ -174,7 +174,7 @@ def render(node: Recipe) -> str:
 
 
 def uses_enumeration(node: Recipe) -> bool:
-    """True when any leaf counts actual partition objects."""
+    """True when any leaf is a partition count table of ``partitions``, O(n^2) at most."""
     rule = _rule(node)
     return rule.counts or any(uses_enumeration(c) for c in rule.children(node))
 
@@ -183,7 +183,7 @@ class _Rule(_Record):
     evaluate: Callable[[Any, int], Series]
     render: Callable[[Any], str]
     children: Callable[[Any], tuple] = lambda node: ()
-    counts: bool = False  # the node itself counts partition objects
+    counts: bool = False  # the node itself is a count table of ``partitions``
 
 
 def _rule(node: Recipe) -> _Rule:
@@ -362,7 +362,7 @@ def _eval_cubic_progression(node: CubicProgression, order: int) -> Series:
             if e <= order:
                 out[e] += sign * (n + 1) * (slope * n + intercept)
         n += 1
-    return Series(out)
+    return Series(out)  # checked: the slopes and intercepts are the caller's
 
 
 def _mono_str(sign: int, exponent: int) -> str:
@@ -498,18 +498,18 @@ _RULES: dict[type, _Rule] = {
         lambda n: f"gf[{n.family}{', signed' if n.signed else ''}]",
     ),
     Overpartitions: _Rule(
-        lambda n, order: Series(partitions.overpartition_counts(order, n.odd_only)),
+        lambda n, order: Series._trusted(partitions.overpartition_counts(order, n.odd_only)),
         lambda n: "overpartition counts" + (" (odd parts)" if n.odd_only else ""),
         counts=True,
     ),
     AdyCounts: _Rule(
-        lambda n, order: Series(partitions.ady_counts(order, n.distinct, n.allow_zero)),
+        lambda n, order: Series._trusted(partitions.ady_counts(order, n.distinct, n.allow_zero)),
         lambda n: f"counts[odd parts < 2*smallest, {'distinct' if n.distinct else 'repeated'}"
         f"{' + optional zero part' if n.allow_zero else ''}]",
         counts=True,
     ),
     CoefficientFormula: _Rule(
-        lambda n, order: Series(
+        lambda n, order: Series._trusted(
             [(-1) ** m * _FORMULAS[n.name](m) if n.alternating else _FORMULAS[n.name](m)
              for m in range(order + 1)]
         ),

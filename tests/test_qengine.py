@@ -281,7 +281,7 @@ def test_phi21_matches_term_rebuilding_oracle(rng):
 
 def _draw_factor(rng):
     step = rng.randint(1, 3)
-    slope = rng.choice((0, step, 2 * step, 1))  # slope 1 with step 2 or 3 is rebuilt
+    slope = rng.choice((0, step, 2 * step))
     length = rng.choice((LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF, 0, 1, 2))
     sign = rng.choice((1, -1))
     # (q^0; q^k)_inf is refused outright; every other unit argument is drawn
@@ -306,6 +306,10 @@ def test_sum_over_smallest_matches_term_rebuilding_oracle(rng):
             assert sum_over_smallest(template, n) == Series(expect), (template, n)
 
 
+_SLOPE = "argument exponent slope must be a multiple of the factor step"
+_VANISHES = "(q^0; q^k)_inf vanishes; refusing to build it"
+
+
 def test_poch_factor_moves():
     # (q^(2n+1); q^2)_inf: q^(2n+1) leaves, nothing joins
     assert PochFactor(1, 2, 1, 2, LENGTH_INF).moves(3, 100) == (range(7, 9, 2), range(0))
@@ -315,22 +319,49 @@ def test_poch_factor_moves():
     assert PochFactor(1, 1, 2, 1, LENGTH_N_PLUS_1).moves(3, 9) == (range(5, 6), range(9, 10))
     # a fixed-slope finite product only grows
     assert PochFactor(-1, 0, 2, 2, LENGTH_N).moves(2, 100) == (range(2, 2, 2), range(6, 8, 2))
-    # exponent sets of slope 1, step 2 are odd at n=0 and even at n=1: all swap
-    assert PochFactor(1, 1, 1, 2, LENGTH_INF).moves(0, 100) == (range(1, 101, 2), range(2, 101, 2))
+    # slope 1, step 2 would put the binomials at n and n + 1 in different
+    # residue classes, so that every one of them moves: it is refused
+    with pytest.raises(QEngineError, match=f"^{_SLOPE}$"):
+        PochFactor(1, 1, 1, 2, LENGTH_INF)
+
+
+def test_poch_factor_moves_are_the_set_differences(rng):
+    cut = set()
+    for _ in range(400):
+        f = _draw_factor(rng)
+        n, top = rng.randint(0, 6), rng.randint(0, 30)
+        now, after = f.exponents(n, top), f.exponents(n + 1, top)
+        leaving, joining = f.moves(n, top)
+        assert list(leaving) == sorted(set(now) - set(after)), (f, n, top)
+        assert list(joining) == sorted(set(after) - set(now)), (f, n, top)
+        if len(after) < len(f.exponents(n + 1, 10**6)):
+            cut.add(f.length)
+    assert cut == {LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF, 1, 2}  # a length-0 product has no tail
 
 
 def test_template_and_poch_refusals():
-    negative = TermTemplate(1, 0, (PochFactor(1, 1, -1, 1, LENGTH_N),))
-    with pytest.raises(QEngineError, match="^factor exponent became negative$"):
-        sum_over_smallest(negative, 5)
-    for denominator in (False, True):
-        vanishing = TermTemplate(1, 0, (PochFactor(1, 0, 0, 1, LENGTH_INF, denominator),))
-        with pytest.raises(QEngineError, match=r"^\(q\^0; q\^k\)_inf vanishes; refusing to build it$"):
-            sum_over_smallest(vanishing, 5)
-    with pytest.raises(QEngineError, match="^Pochhammer step must be at least 1$"):
-        evaluate(Poch(q(1), 0), 5)
-    with pytest.raises(QEngineError, match="^Pochhammer length must be nonnegative$"):
-        evaluate(Poch(q(1), 1, -1), 5)
+    # each shape rule is checked once, when the record is built
+    refusals = [
+        (lambda: PochFactor(0, 0, 1, 1, LENGTH_N), "factor sign must be -1 or +1"),
+        (lambda: PochFactor(1, -2, 1, 1, LENGTH_N), "argument exponent slope must be nonnegative"),
+        (lambda: PochFactor(1, 0, -1, 1, LENGTH_N), "argument exponent must stay nonnegative"),
+        (lambda: PochFactor(1, 1, -1, 1, LENGTH_N), "factor exponent became negative"),
+        (lambda: PochFactor(1, 0, 1, 0, LENGTH_N), "factor step must be at least 1"),
+        (lambda: PochFactor(1, 0, 1, 1, -1), "unsupported factor length -1"),
+        (lambda: PochFactor(1, 0, 0, 1, LENGTH_INF), _VANISHES),
+        (lambda: PochFactor(1, 0, 0, 1, LENGTH_INF, True), _VANISHES),
+        (lambda: PochFactor(1, 2, 0, 2, LENGTH_INF), _VANISHES),
+        (lambda: PochFactor(1, 3, 1, 2, LENGTH_N), _SLOPE),
+        (lambda: PochFactor(-1, 1, 0, 3, 2, True), _SLOPE),
+        (lambda: Poch(q(1), 0), "Pochhammer step must be at least 1"),
+        (lambda: Poch(Parameter.zero(), 0), "Pochhammer step must be at least 1"),
+        (lambda: Poch(q(1), 1, -1), "Pochhammer length must be nonnegative"),
+        (lambda: Poch(q(0), 2), _VANISHES),
+    ]
+    for build, message in refusals:
+        with pytest.raises(QEngineError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 def test_phi21_minus_one_c_raises_once_n_equals_one_is_in_range():
@@ -416,7 +447,7 @@ def test_template_start_matches_oracle_product(rng):
     "factor, n, c0",
     [
         (PochFactor(1, 1, 0, 1, LENGTH_N_PLUS_1), 0, 0),  # (1; q)_1 = 0
-        (PochFactor(-1, 1, 0, 2, 3), 0, 2),  # (-1; q^2)_3 = 2 (1+q^2)(1+q^4)
+        (PochFactor(-1, 2, 0, 2, 3), 0, 2),  # (-1; q^2)_3 = 2 (1+q^2)(1+q^4)
         (PochFactor(-1, 0, 0, 1, 2, True), 0, "error"),  # 1/(-1; q)_2 has the constant 1/2
         (PochFactor(1, 0, 0, 1, LENGTH_N, True), 1, "error"),  # 1/(1; q)_1 divides by 0
         (PochFactor(1, 0, 0, 1, LENGTH_N, True), 0, 1),  # 1/(1; q)_0 = 1

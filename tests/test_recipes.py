@@ -540,3 +540,14 @@ def test_inverse_makes_no_product(monkeypatch):
 def test_fold_keeps_the_infinite_q0_error():
     with pytest.raises(QEngineError, match="vanishes"):
         evaluate(Mul((Monomial(1), Poch(Parameter(1, 0), 1))), 5)
+
+
+def test_cubic_progression_checks_the_callers_coefficients():
+    # slopes and intercepts are record fields, so the series is built by
+    # Series(...): slope 1/2 gives the integers (n+1) n/2, stored as ints,
+    # and intercept 1/2 gives (n+1)/2, which is refused
+    halves = evaluate(recipes.CubicProgression(0, (0.5, 0), (1, 0), (1, 1)), 10).coeffs
+    assert halves == (0, 0, 1, 1, 2, 4, 3, 6, 9, 6, 12)
+    assert {type(c) for c in halves} == {int}
+    with pytest.raises(SeriesError, match="^a series' coefficients must be integers$"):
+        evaluate(recipes.CubicProgression(0, (0, 0.5), (1, 0), (1, 1)), 10)
