@@ -52,20 +52,18 @@ def omega(order: int) -> Series:
     """omega(q) by its defining sum; terms vanish once 2n^2+2n > order.
 
     1/(q;q^2)_{n+1}^2 is carried as one list through q^(order - 2n^2 - 2n),
-    the part that lands within the order, dividing by (1 - q^(2n+3)) twice
-    from one n to the next.
+    the part that lands within the order, dividing by (1 - q^(2n+3))^2 in
+    one kernel call from one n to the next.
     """
     _check_order(order)
     total = [0] * (order + 1)
     inv_sq = [1] + [0] * order
-    idiv_one_minus(inv_sq, 1, 1, order)
-    idiv_one_minus(inv_sq, 1, 1, order)  # 1/(q;q^2)_1^2
+    idiv_one_minus(inv_sq, 1, 1, order, 2)  # 1/(q;q^2)_1^2
     n = 0
     while (shift := 2 * n * n + 2 * n) <= order:
         total[shift:] = map(add, total[shift:], inv_sq)
         top = order - shift - 4 * n - 4  # the next shift is 2(n+1)^2 + 2(n+1)
-        idiv_one_minus(inv_sq, 1, 2 * n + 3, top)
-        idiv_one_minus(inv_sq, 1, 2 * n + 3, top)
+        idiv_one_minus(inv_sq, 1, 2 * n + 3, top, 2)
         n += 1
     return Series._trusted(total)
 

@@ -265,7 +265,8 @@ def rational_series(
     """numerator / prod (1 - sign*q^e)^multiplicity, truncated to `order`.
 
     Each denominator factor is a triple (sign, exponent, multiplicity) with
-    exponent >= 1 so the constant term stays a unit.
+    exponent >= 1 so the constant term stays a unit; each factor is one
+    ``idiv_one_minus`` call, which divides by its whole multiplicity.
     """
     _check_order(order)
     out = list(Series.from_polynomial(numerator, order).coeffs)
@@ -276,8 +277,7 @@ def rational_series(
             raise QEngineError("denominator factor sign must be -1 or +1")
         if mult < 1:
             raise QEngineError("denominator factor multiplicity must be at least 1")
-        for _ in range(mult):
-            idiv_one_minus(out, sign, e, order)
+        idiv_one_minus(out, sign, e, order, mult)
     return Series._trusted(out)
 
 

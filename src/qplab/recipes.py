@@ -119,7 +119,9 @@ class CoefficientFormula(_Record):
 class CubicProgression(_Record):
     """sum_n (+-1)^n (n+1) (a(n) + b(n) q + c(n) q^2) q^(3n+offset).
 
-    a, b, c are affine in n, given as (slope, intercept) pairs.
+    a, b, c are affine in n, given as (slope, intercept) pairs of ints, and
+    the offset is a nonnegative int; anything else raises SeriesError when
+    the record is built, so every coefficient it evaluates to is an int.
     """
 
     offset: int
@@ -127,6 +129,14 @@ class CubicProgression(_Record):
     b: tuple[int, int]
     c: tuple[int, int]
     alternating: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.offset, int) or self.offset < 0:
+            raise SeriesError("cubic progression offset must be a nonnegative integer")
+        for name in ("a", "b", "c"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+                raise SeriesError(f"cubic progression {name} must be a (slope, intercept) pair of integers")
 
 
 Recipe = Union[
@@ -320,10 +330,11 @@ def _as_product(s: Series) -> Union[_Product, Series]:
 def _fold(node: Recipe, order: int) -> Union[_Product, Series]:
     """node as a _Product when it folds into one, else its series through the order.
 
-    Errors are those of evaluating the node: an infinite Pochhammer at +q^0
-    raises from Poch.exponents.  A negative power of a non-unit raises
-    series._non_unit's error, from _Product.__pow__ for a shifted product
-    with constant +-1 and from _power's Series.invert for any other.
+    Errors are those of evaluating the node (an infinite Pochhammer at +q^0
+    never gets here: it raises when its Poch is built).  A negative power of
+    a non-unit raises series._non_unit's error, from _Product.__pow__ for a
+    shifted product with constant +-1 and from _power's Series.invert for
+    any other.
     """
     kind = type(node)
     if kind is Poch:
@@ -362,7 +373,7 @@ def _eval_cubic_progression(node: CubicProgression, order: int) -> Series:
             if e <= order:
                 out[e] += sign * (n + 1) * (slope * n + intercept)
         n += 1
-    return Series(out)  # checked: the slopes and intercepts are the caller's
+    return Series._trusted(out)
 
 
 def _mono_str(sign: int, exponent: int) -> str:

@@ -25,10 +25,15 @@ and ``idiv_one_minus`` update it in place through a top index, and the
 evaluator builds one ``Series`` from it at the end, through the private
 ``Series._trusted``, which skips the per-coefficient integer check of
 ``Series(...)``.  The kernels also take e = 0, where the factor is the
-constant 1 - c.  ``mul_one_minus`` and ``div_one_minus`` are the same
-kernels on a copy of a series; nothing in the package calls them, but the
-benchmark's tracer (``perfbench/tracing.py``) wraps both by name, so
-deleting them breaks every traced benchmark run.
+constant 1 - c.  ``idiv_one_minus`` divides by a power (1 - c*q^e)^k in one
+call.  With c = 1 and residue classes mod e of at least
+``PREFIX_SUM_MIN_RUN`` entries it rewrites each class by k nested
+``itertools.accumulate`` passes; any other call runs a Python loop k times.
+Integer addition is exact, so both give the same integers.
+``mul_one_minus`` and ``div_one_minus`` are the same kernels on a copy of a
+series; nothing in the package calls them, but the benchmark's tracer
+(``perfbench/tracing.py``) wraps both by name, so deleting them breaks every
+traced benchmark run.
 
 Every module imports this one, so it also holds ``_Record``, the base class
 of the package's frozen records.
@@ -36,6 +41,7 @@ of the package's frozen records.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, sub
 from typing import Sequence, Union
 
@@ -400,22 +406,37 @@ def imul_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
         coeffs[e : top + 1] = map(sub if c == 1 else add, coeffs[e : top + 1], coeffs)
 
 
-def idiv_one_minus(coeffs: list[int], c: int, e: int, top: int) -> None:
-    """coeffs[:top+1] /= (1 - c*q^e) in place, O(top); c is +-1.
+def idiv_one_minus(coeffs: list[int], c: int, e: int, top: int, k: int = 1) -> None:
+    """coeffs[:top+1] /= (1 - c*q^e)^k in place, O(k * top); c is +-1, k >= 1.
 
     Entries above `top` are left as they are.  At e = 0 the factor is the
     constant 0 or 2, which is not a unit, and SeriesError is raised as
-    ``Series.invert`` raises it.
+    ``Series.invert`` raises it.  Dividing by 1 - q^e is a running sum over
+    each residue class mod e, so when c = 1 and the classes are long
+    (top >= PREFIX_SUM_MIN_RUN * e) each class is rewritten by one slice
+    assignment of k nested ``accumulate`` passes.  Any other call runs the
+    loop k times.
     """
     _check_binomial(c, e)
     if e == 0:
         raise _non_unit(1 - c)
+    if k < 1:
+        raise SeriesError("binomial factor multiplicity must be at least 1")
     if c == 1:
+        if top >= PREFIX_SUM_MIN_RUN * e:
+            for r in range(e):
+                run = coeffs[r : top + 1 : e]
+                for _ in range(k):
+                    run = accumulate(run)
+                coeffs[r : top + 1 : e] = run
+            return
         for i in range(e, top + 1):
             coeffs[i] += coeffs[i - e]
     else:
         for i in range(e, top + 1):
             coeffs[i] -= coeffs[i - e]
+    if k > 1:  # a tail call, so that a call with k = 1 pays for no loop over k
+        idiv_one_minus(coeffs, c, e, top, k - 1)
 
 
 def mul_one_minus(s: Series, c: int, e: int) -> Series:
@@ -430,6 +451,16 @@ def div_one_minus(s: Series, c: int, e: int) -> Series:
     out = list(s.coeffs)
     idiv_one_minus(out, c, e, s.order)
     return Series._trusted(out)
+
+
+#: ``idiv_one_minus`` with c = 1 takes the prefix sums when top >= this * e,
+#: so that each residue class holds at least 16 entries: each class costs a
+#: slice, an ``accumulate`` and a slice assignment, about 0.5 us.  At top
+#: 1200 with 60-bit coefficients (Python 3.11, 2 vCPUs), e <= 21 takes
+#: 47-84 us against the loop's 92-125 us, and the two are even near
+#: top/e = 16.  With the catalog's small coefficients at top 120 they are
+#: even nearer top/e = 30-40 (5.7 us against 4.8 us at e = 5).
+PREFIX_SUM_MIN_RUN = 16
 
 
 # ----------------------------------------------------------------------

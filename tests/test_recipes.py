@@ -543,11 +543,23 @@ def test_fold_keeps_the_infinite_q0_error():
 
 
 def test_cubic_progression_checks_the_callers_coefficients():
-    # slopes and intercepts are record fields, so the series is built by
-    # Series(...): slope 1/2 gives the integers (n+1) n/2, stored as ints,
-    # and intercept 1/2 gives (n+1)/2, which is refused
-    halves = evaluate(recipes.CubicProgression(0, (0.5, 0), (1, 0), (1, 1)), 10).coeffs
-    assert halves == (0, 0, 1, 1, 2, 4, 3, 6, 9, 6, 12)
-    assert {type(c) for c in halves} == {int}
-    with pytest.raises(SeriesError, match="^a series' coefficients must be integers$"):
-        evaluate(recipes.CubicProgression(0, (0, 0.5), (1, 0), (1, 1)), 10)
+    # each bad field is refused when the record is built, so evaluation
+    # builds its series unchecked: slope 1/2 would give the integral floats
+    # (n+1) n/2, and offset -1 would write the last coefficient
+    offset = "cubic progression offset must be a nonnegative integer"
+    pair = "cubic progression {} must be a (slope, intercept) pair of integers"
+    for fields, text in (
+        ((0.5, (1, 0), (1, 0), (1, 1)), offset),
+        ((-1, (1, 0), (1, 0), (1, 1)), offset),
+        ((0, (0.5, 0), (1, 0), (1, 1)), pair.format("a")),
+        ((0, (1, 0), (1, 0.5), (1, 1)), pair.format("b")),
+        ((0, (1, 0), (1, 0), (1, "1")), pair.format("c")),
+        ((0, (1, 0), (1, 0), (1,)), pair.format("c")),
+        ((0, (1, 0), (1, 0), [1, 1]), pair.format("c")),
+    ):
+        with pytest.raises(SeriesError) as refused:
+            recipes.CubicProgression(*fields)
+        assert str(refused.value) == text, fields
+    good = evaluate(recipes.CubicProgression(0, (1, 0), (True, 0), (1, 1)), 10).coeffs
+    assert good == (0, 0, 1, 2, 2, 4, 6, 6, 9, 12, 12)
+    assert {type(c) for c in good} == {int}

@@ -305,6 +305,27 @@ def test_binomial_kernel_matches_oracle(rng, kernel, divide):
         got = list(coeffs)
         kernel(got, c, e, top)
         assert got == _binomial_oracle(coeffs, c, e, top, divide), (coeffs, c, e, top)
+    if not divide:
+        return
+    # long runs and powers: with c = 1 and top >= PREFIX_SUM_MIN_RUN * e the
+    # division takes one prefix sum per residue class, so e is drawn on both
+    # sides of top/16, the boundary tops 16e - 1 and 16e come up often, and
+    # (1 - c*q^e)^k for k = 1, 2, 3 is the oracle's division applied k times
+    run = series.PREFIX_SUM_MIN_RUN
+    paths = {True: 0, False: 0}
+    for _ in range(200):
+        e = rng.randint(1, 19)
+        top = rng.choice((run * e - 1, run * e, rng.randint(1, 300)))
+        coeffs = [rng.randint(-50, 50) for _ in range(top + 1 + rng.randint(0, 3))]
+        c, k = rng.choice((1, -1)), rng.randint(1, 3)
+        want = coeffs
+        for _ in range(k):
+            want = _binomial_oracle(want, c, e, top, divide)
+        got = list(coeffs)
+        kernel(got, c, e, top, k)
+        assert got == want, (coeffs, c, e, top, k)
+        paths[c == 1 and top >= run * e] += 1
+    assert min(paths.values()) >= 20, paths
 
 
 @pytest.mark.parametrize("kernel, divide", KERNELS, ids=("mul", "div"))
@@ -352,6 +373,10 @@ def test_binomial_kernel_rejects_bad_factors(function):
             function(got, c, 0, 1)
         assert str(divided.value) == str(inverted.value)
         assert got == [1, 2, 3]
+    if function is series.idiv_one_minus:
+        for c, e, top in ((1, 1, 2), (1, 1, 40), (-1, 1, 2)):
+            with pytest.raises(SeriesError, match="^binomial factor multiplicity must be at least 1$"):
+                function(list(range(41)), c, e, top, 0)
 
 
 def test_public_constructor_still_coerces():
