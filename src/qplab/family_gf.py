@@ -60,6 +60,13 @@ def _unknown_family(name: str) -> str:
     return f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}"
 
 
+def _route(name: str, signed: bool):
+    route = _ROUTES.get((name, bool(signed)))
+    if route is None:
+        raise KeyError(_unknown_family(name))
+    return route
+
+
 def family_template(name: str, signed: bool) -> TermTemplate | None:
     """The smallest-part template, built once at import, or None for the product-form families."""
     route = _ROUTES.get((name, bool(signed)))
@@ -68,9 +75,7 @@ def family_template(name: str, signed: bool) -> TermTemplate | None:
 
 def family_gf_series(name: str, signed: bool, order: int) -> Series:
     """Evaluate the family's generating function to the given order."""
-    route = _ROUTES.get((name, bool(signed)))
-    if route is None:
-        raise KeyError(_unknown_family(name))
+    route = _route(name, signed)
     _check_order(order)
     if isinstance(route, TermTemplate):
         return sum_over_smallest(route, order)

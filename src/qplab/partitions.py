@@ -480,8 +480,7 @@ def ady_counts(n: int, distinct: bool, allow_zero_part: bool = False) -> list[in
     """
     if n < 0:
         raise PartitionError("n must be nonnegative")
-    if allow_zero_part and not distinct:
-        raise PartitionError("a zero part is only meaningful for distinct parts")
+    _check_ady(distinct, allow_zero_part)
     parts = [1] + [0] * n
     for v in range(2, n + 1, 2):
         _part_factor(parts, v, 1, distinct, n)
@@ -496,6 +495,11 @@ def ady_counts(n: int, distinct: bool, allow_zero_part: bool = False) -> list[in
         _part_factor(parts, s + 1 if distinct else s, -1, not distinct, top)
         _part_factor(parts, 2 * s + 1, 1, distinct, top)
     return table
+
+
+def _check_ady(distinct: bool, allow_zero_part: bool) -> None:
+    if allow_zero_part and not distinct:
+        raise PartitionError("a zero part is only meaningful for distinct parts")
 
 
 def count_ady(n: int, distinct: bool, allow_zero_part: bool = False) -> int:

@@ -269,7 +269,15 @@ def rational_series(
     ``idiv_one_minus`` call, which divides by its whole multiplicity.
     """
     _check_order(order)
+    _check_rational(numerator, denominator_factors)
     out = list(Series.from_polynomial(numerator, order).coeffs)
+    for sign, e, mult in denominator_factors:
+        idiv_one_minus(out, sign, e, order, mult)
+    return Series._trusted(out)
+
+
+def _check_rational(numerator: Sequence[int], denominator_factors: Sequence[tuple]) -> None:
+    Series.from_polynomial(numerator, len(numerator))  # refuses a coefficient that is no integer
     for sign, e, mult in denominator_factors:
         if e < 1:
             raise QEngineError("denominator factor exponent must be at least 1")
@@ -277,8 +285,6 @@ def rational_series(
             raise QEngineError("denominator factor sign must be -1 or +1")
         if mult < 1:
             raise QEngineError("denominator factor multiplicity must be at least 1")
-        idiv_one_minus(out, sign, e, order, mult)
-    return Series._trusted(out)
 
 
 # ----------------------------------------------------------------------
@@ -311,15 +317,11 @@ class PochFactor(_Record):
         if self.exp_slope < 0:
             raise QEngineError("argument exponent slope must be nonnegative")
         if self.exp_offset < 0:  # the least exponent, at n = 0
-            raise QEngineError(
-                "factor exponent became negative" if self.exp_slope else "argument exponent must stay nonnegative"
-            )
+            raise QEngineError("argument exponent must stay nonnegative")
         if self.step < 1:
             raise QEngineError("factor step must be at least 1")
-        ok = self.length in (LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF) or (
-            isinstance(self.length, int) and self.length >= 0
-        )
-        if not ok:
+        fixed = isinstance(self.length, int) and self.length >= 0
+        if not fixed and self.length not in (LENGTH_N, LENGTH_N_PLUS_1, LENGTH_INF):
             raise QEngineError(f"unsupported factor length {self.length!r}")
         if self.length == LENGTH_INF and self.sign == 1 and self.exp_offset == 0:
             raise QEngineError(_VANISHES)
@@ -439,6 +441,15 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
 # ----------------------------------------------------------------------
 # basic hypergeometric sum
 
+def _check_phi21(c: Parameter, step: int, z: Parameter) -> None:
+    if z.is_zero or z.exponent < 1:
+        raise QEngineError("phi21 needs z = +-q^e with e >= 1 to truncate")
+    if c.sign == 1 and c.exponent == 0:
+        raise QEngineError("c = q^0 makes the denominator Pochhammer vanish")
+    if step < 1:
+        raise QEngineError("phi21 step must be at least 1")
+
+
 def phi21(
     a: Parameter,
     b: Parameter,
@@ -462,12 +473,7 @@ def phi21(
     carried without its z^n through q^(order - n * z's exponent), the part
     that lands within the order once multiplied by z^n.
     """
-    if z.is_zero or z.exponent < 1:
-        raise QEngineError("phi21 needs z = +-q^e with e >= 1 to truncate")
-    if c.sign == 1 and c.exponent == 0:
-        raise QEngineError("c = q^0 makes the denominator Pochhammer vanish")
-    if step < 1:
-        raise QEngineError("phi21 step must be at least 1")
+    _check_phi21(c, step, z)
     _check_order(order)
     total = [0] * (order + 1)
     term = [1] + [0] * order

@@ -11,6 +11,9 @@ Besides the node classes below, three lower-layer types serve as nodes
 directly: ``qengine.Poch``, ``qengine.TermTemplate`` (a smallest-part sum)
 and ``mocktheta.MockThetaForm``.  Each node type has one entry in ``_RULES``
 saying how to evaluate it, how to render it and which children it has.
+A node is checked once, when it is built: ``series._Record`` checks its field
+types, and its ``__post_init__`` its values through the helper it shares with
+the library function it evaluates by.  ``_RULES`` entries check nothing.
 
 c*q^e is ``Monomial(e, c)``, the one node for a monomial; a literal c is
 ``Monomial(0, c)`` and renders as ``c``.  1/x is ``Pow(x, -1)``, the one
@@ -32,17 +35,20 @@ import sys
 from math import prod
 from typing import Any, Callable, Union
 
-from .series import Series, SeriesError, _check_order, _Record
+from .series import Series, SeriesError, _check_exponent, _check_order, _Record
 from .qengine import _log_derivative_recurrence, _Product, Parameter, Poch, TermTemplate
-from .qengine import phi21, rational_series, sum_over_smallest
+from .qengine import _check_phi21, _check_rational, phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
 from . import partitions
-from .family_gf import family_gf_series
+from .family_gf import _route, family_gf_series
 
 
 class Monomial(_Record):
     exponent: int
     coefficient: int = 1
+
+    def __post_init__(self):
+        _check_exponent(self.exponent)
 
 
 class Add(_Record):
@@ -73,6 +79,9 @@ class RationalGF(_Record):
     numerator: tuple[int, ...]
     denominator: tuple[tuple[int, int, int], ...]  # (sign, exponent, multiplicity)
 
+    def __post_init__(self):
+        _check_rational(self.numerator, self.denominator)
+
 
 class Phi21(_Record):
     a: Parameter
@@ -80,6 +89,9 @@ class Phi21(_Record):
     c: Parameter
     step: int
     z: Parameter
+
+    def __post_init__(self):
+        _check_phi21(self.c, self.step, self.z)
 
 
 class Theta(_Record):
@@ -92,12 +104,19 @@ class FamilyCounts(_Record):
     family: str
     mode: str = partitions.WEIGHT_NONE
 
+    def __post_init__(self):
+        partitions._check(self.family, partitions.FAMILIES, "family")
+        partitions._check(self.mode, partitions.WEIGHT_MODES, "weight mode")
+
 
 class FamilyGF(_Record):
     """Template-side generating function of a registered family."""
 
     family: str
     signed: bool = False
+
+    def __post_init__(self):
+        _route(self.family, self.signed)
 
 
 class Overpartitions(_Record):
@@ -108,20 +127,27 @@ class AdyCounts(_Record):
     distinct: bool
     allow_zero: bool = False
 
+    def __post_init__(self):
+        partitions._check_ady(self.distinct, self.allow_zero)
+
 
 class CoefficientFormula(_Record):
     """sum_n (+-1)^n c(n) q^n for a named closed coefficient formula."""
 
-    name: str  # "n" or "floor((n+2)/3)"
+    name: str  # a key of _FORMULAS
     alternating: bool = False
+
+    def __post_init__(self):
+        if self.name not in _FORMULAS:
+            raise KeyError(f"unknown coefficient formula {self.name!r}; choose from {', '.join(_FORMULAS)}")
 
 
 class CubicProgression(_Record):
     """sum_n (+-1)^n (n+1) (a(n) + b(n) q + c(n) q^2) q^(3n+offset).
 
     a, b, c are affine in n, given as (slope, intercept) pairs of ints, and
-    the offset is a nonnegative int; anything else raises SeriesError when
-    the record is built, so every coefficient it evaluates to is an int.
+    the offset is a nonnegative int; anything else is refused when the record
+    is built, so every coefficient it evaluates to is an int.
     """
 
     offset: int
@@ -131,11 +157,11 @@ class CubicProgression(_Record):
     alternating: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.offset, int) or self.offset < 0:
+        if self.offset < 0:
             raise SeriesError("cubic progression offset must be a nonnegative integer")
         for name in ("a", "b", "c"):
             pair = getattr(self, name)
-            if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+            if not (len(pair) == 2 and all(isinstance(x, int) for x in pair)):
                 raise SeriesError(f"cubic progression {name} must be a (slope, intercept) pair of integers")
 
 

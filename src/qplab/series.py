@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, sub
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class SeriesError(ValueError):
@@ -54,6 +54,10 @@ def _check_order(order: int) -> None:
     """Raise SeriesError for a negative truncation order; every evaluator calls it."""
     if order < 0:
         raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
+
+
+_KINDS = {"int": (int, "an int"), "bool": (bool, "a bool"), "tuple": (tuple, "a tuple"),
+          "Optional[int]": ((int, type(None)), "an int or None")}
 
 
 class _Record:
@@ -70,11 +74,16 @@ class _Record:
     raise AttributeError.  The methods are written once here rather than
     generated per class, because generating them costs import time that
     every CLI call pays.
+
+    A field annotated ``int``, ``bool``, ``Optional[int]`` or ``tuple[...]``
+    (a string, looked up in ``_KINDS``) must hold one: ``__init__`` raises
+    TypeError otherwise, before ``__post_init__``, which may assume the types.
     """
 
     __slots__ = ()
     _fields = ()
     _defaults = {}
+    _kinds = ()  # (field, types, text) for each field the type rule checks
     _hash = None  # the instance's own, once hash() has computed it
 
     def __init_subclass__(cls, **kwargs):
@@ -82,6 +91,9 @@ class _Record:
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        for name, kind in own.items():
+            if rule := _KINDS.get("tuple" if str(kind).startswith("tuple[") else kind):
+                cls._kinds += ((name, *rule),)
 
     def __init__(self, *args, **kwargs):
         name, fields = type(self).__name__, self._fields
@@ -106,6 +118,9 @@ class _Record:
             else:
                 raise TypeError(f"{name}() is missing field {field!r}")
             object.__setattr__(self, field, value)
+        for field, types, kind in self._kinds:
+            if not isinstance(getattr(self, field), types):
+                raise TypeError(f"{name}.{field} must be {kind}, not {getattr(self, field)!r}")
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:
             post_init()
@@ -138,6 +153,11 @@ class _Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _check_exponent(exponent: int) -> None:
+    if exponent < 0:
+        raise SeriesError("negative exponents are not representable")
 
 
 class Series:
@@ -191,8 +211,7 @@ class Series:
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "Series":
         """The single term coefficient * q^exponent, truncated to `order`."""
         _check_order(order)
-        if exponent < 0:
-            raise SeriesError("negative exponents are not representable")
+        _check_exponent(exponent)
         c = [0] * (order + 1)
         if exponent <= order:
             c[exponent] = coefficient
@@ -344,9 +363,9 @@ class Comparison(_Record):
     """
 
     equal: bool
-    index: int | None = None
-    lhs: int | None = None
-    rhs: int | None = None
+    index: Optional[int] = None
+    lhs: Optional[int] = None
+    rhs: Optional[int] = None
 
 
 def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:

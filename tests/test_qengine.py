@@ -345,7 +345,7 @@ def test_template_and_poch_refusals():
         (lambda: PochFactor(0, 0, 1, 1, LENGTH_N), "factor sign must be -1 or +1"),
         (lambda: PochFactor(1, -2, 1, 1, LENGTH_N), "argument exponent slope must be nonnegative"),
         (lambda: PochFactor(1, 0, -1, 1, LENGTH_N), "argument exponent must stay nonnegative"),
-        (lambda: PochFactor(1, 1, -1, 1, LENGTH_N), "factor exponent became negative"),
+        (lambda: PochFactor(1, 1, -1, 1, LENGTH_N), "argument exponent must stay nonnegative"),
         (lambda: PochFactor(1, 0, 1, 0, LENGTH_N), "factor step must be at least 1"),
         (lambda: PochFactor(1, 0, 1, 1, -1), "unsupported factor length -1"),
         (lambda: PochFactor(1, 0, 0, 1, LENGTH_INF), _VANISHES),

@@ -545,19 +545,20 @@ def test_fold_keeps_the_infinite_q0_error():
 def test_cubic_progression_checks_the_callers_coefficients():
     # each bad field is refused when the record is built, so evaluation
     # builds its series unchecked: slope 1/2 would give the integral floats
-    # (n+1) n/2, and offset -1 would write the last coefficient
+    # (n+1) n/2, and offset -1 would write the last coefficient; an offset
+    # that is no int and a pair that is no tuple break _Record's type rule
     offset = "cubic progression offset must be a nonnegative integer"
     pair = "cubic progression {} must be a (slope, intercept) pair of integers"
-    for fields, text in (
-        ((0.5, (1, 0), (1, 0), (1, 1)), offset),
-        ((-1, (1, 0), (1, 0), (1, 1)), offset),
-        ((0, (0.5, 0), (1, 0), (1, 1)), pair.format("a")),
-        ((0, (1, 0), (1, 0.5), (1, 1)), pair.format("b")),
-        ((0, (1, 0), (1, 0), (1, "1")), pair.format("c")),
-        ((0, (1, 0), (1, 0), (1,)), pair.format("c")),
-        ((0, (1, 0), (1, 0), [1, 1]), pair.format("c")),
+    for fields, error, text in (
+        ((0.5, (1, 0), (1, 0), (1, 1)), TypeError, "CubicProgression.offset must be an int, not 0.5"),
+        ((-1, (1, 0), (1, 0), (1, 1)), SeriesError, offset),
+        ((0, (0.5, 0), (1, 0), (1, 1)), SeriesError, pair.format("a")),
+        ((0, (1, 0), (1, 0.5), (1, 1)), SeriesError, pair.format("b")),
+        ((0, (1, 0), (1, 0), (1, "1")), SeriesError, pair.format("c")),
+        ((0, (1, 0), (1, 0), (1,)), SeriesError, pair.format("c")),
+        ((0, (1, 0), (1, 0), [1, 1]), TypeError, "CubicProgression.c must be a tuple, not [1, 1]"),
     ):
-        with pytest.raises(SeriesError) as refused:
+        with pytest.raises(error) as refused:
             recipes.CubicProgression(*fields)
         assert str(refused.value) == text, fields
     good = evaluate(recipes.CubicProgression(0, (1, 0), (True, 0), (1, 1)), 10).coeffs

@@ -5,9 +5,27 @@ import pytest
 
 import qplab.cli  # noqa: F401  (loads every module, so every record class exists)
 from qplab import partitions, recipes, registry
-from qplab.qengine import Parameter, QEngineError
-from qplab.recipes import Add, Monomial, Mul
-from qplab.series import _Record
+from qplab.family_gf import _unknown_family
+from qplab.mocktheta import MockThetaForm
+from qplab.partitions import Cell, ColoredPart, FamilySpec, PartitionError
+from qplab.qengine import LENGTH_N, Parameter, Poch, PochFactor, QEngineError, TermTemplate
+from qplab.recipes import (
+    Add,
+    AdyCounts,
+    CoefficientFormula,
+    CubicProgression,
+    FamilyCounts,
+    FamilyGF,
+    Monomial,
+    Mul,
+    Overpartitions,
+    Phi21,
+    Pow,
+    RationalGF,
+    Scale,
+    Theta,
+)
+from qplab.series import SeriesError, _Record
 
 # every record class and its fields, in order
 FIELDS = {
@@ -38,6 +56,38 @@ FIELDS = {
     "recipes._Rule": ("evaluate", "render", "children", "counts"),
     "registry.IdentityCase": ("id", "description", "source", "lhs", "rhs", "notes"),
     "registry.IdentityReport": ("id", "order_checked", "mismatch", "notes", "elapsed_ms"),
+}
+
+# the fields _Record's type rule checks in each class, with the type each must have
+INT, BOOL, TUPLE, INT_OR_NONE = "an int", "a bool", "a tuple", "an int or None"
+KINDS = {
+    "series.Comparison": {"equal": BOOL, "index": INT_OR_NONE, "lhs": INT_OR_NONE, "rhs": INT_OR_NONE},
+    "qengine.Parameter": {"sign": INT, "exponent": INT},
+    "qengine.Poch": {"step": INT, "length": INT_OR_NONE},
+    "qengine.PochFactor": {"sign": INT, "exp_slope": INT, "exp_offset": INT, "step": INT, "denominator": BOOL},
+    "qengine.TermTemplate": {"prefix_slope": INT, "prefix_offset": INT, "factors": TUPLE, "alternating": BOOL},
+    "mocktheta.MockThetaForm": {"argument_sign": INT},
+    "partitions.ColoredPart": {"value": INT},
+    "partitions.Cell": {"distinct": BOOL, "min_offset": INT},
+    "partitions.FamilySpec": {"anchor": TUPLE, "cells": TUPLE},
+    "recipes.Monomial": {"exponent": INT, "coefficient": INT},
+    "recipes.Add": {"terms": TUPLE},
+    "recipes.Scale": {"factor": INT},
+    "recipes.Mul": {"factors": TUPLE},
+    "recipes.Pow": {"k": INT},
+    "recipes.NegVar": {},
+    "recipes.RationalGF": {"numerator": TUPLE, "denominator": TUPLE},
+    "recipes.Phi21": {"step": INT},
+    "recipes.Theta": {"alternating": BOOL},
+    "recipes.FamilyCounts": {},
+    "recipes.FamilyGF": {"signed": BOOL},
+    "recipes.Overpartitions": {"odd_only": BOOL},
+    "recipes.AdyCounts": {"distinct": BOOL, "allow_zero": BOOL},
+    "recipes.CoefficientFormula": {"alternating": BOOL},
+    "recipes.CubicProgression": {"offset": INT, "a": TUPLE, "b": TUPLE, "c": TUPLE, "alternating": BOOL},
+    "recipes._Rule": {"counts": BOOL},
+    "registry.IdentityCase": {},
+    "registry.IdentityReport": {"order_checked": INT, "elapsed_ms": INT},
 }
 
 
@@ -121,7 +171,8 @@ def test_the_computed_hash_is_no_field(key):
 
 
 def test_an_unhashable_field_raises_type_error_on_every_call():
-    record = Add([Monomial(0, 1)])
+    # a field with no type rule may hold a list, which builds but cannot hash
+    record = registry.IdentityCase("id", "a list side", "test", [Monomial(0, 1)], Monomial(0, 1))
     for _ in range(3):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
@@ -186,3 +237,158 @@ def test_a_function_default_stays_unbound():
     rule = recipes._Rule(len, repr)
     assert rule.children("anything") == ()
     assert rule.counts is False
+
+
+def test_every_record_class_pins_the_fields_its_type_rule_checks():
+    # a module without `from __future__ import annotations`, or a respelled
+    # annotation, would leave a class checking nothing, silently
+    classes = {_key(cls): cls for cls in _subclasses(_Record)}
+    assert sorted(KINDS) == sorted(classes)
+    for key, cls in classes.items():
+        assert {field: kind for field, _, kind in cls._kinds} == KINDS[key], key
+        assert [field for field, _, _ in cls._kinds] == [f for f in FIELDS[key] if f in KINDS[key]], key
+
+
+KINDED = [(key, field) for key in sorted(KINDS) for field in KINDS[key]]
+
+
+@pytest.mark.parametrize("key, field", KINDED, ids=[f"{key}.{field}" for key, field in KINDED])
+def test_a_field_of_the_wrong_type_is_refused_before_post_init(key, field):
+    # "x" is no int, bool, None or tuple; the rule runs before every
+    # __post_init__, whose own checks would raise something else for it
+    record = SAMPLES[key]
+    given = dict(zip(FIELDS[key], _values(record)), **{field: "x"})
+    with pytest.raises(TypeError) as refused:
+        type(record)(**given)
+    assert str(refused.value) == f"{type(record).__qualname__}.{field} must be {KINDS[key][field]}, not 'x'"
+
+
+def test_a_bool_is_an_int_and_an_int_is_no_bool():
+    assert Monomial(True, 2) == Monomial(1, 2)
+    assert Parameter(1, 0).exponent == 0 and Poch(Parameter(1, 1), 1, None).length is None
+    for build in (lambda: Theta(1), lambda: Overpartitions(0), lambda: AdyCounts(1)):
+        with pytest.raises(TypeError, match="must be a bool, not [01]$"):
+            build()
+
+
+_Q = Monomial(1)
+_FACTOR = PochFactor(1, 0, 1, 1, LENGTH_N)
+_FORMULAS = "unknown coefficient formula 'bogus'; choose from n, floor((n+2)/3)"
+_PHI21 = (Parameter(1, 1), Parameter(1, 2), Parameter.zero(), 2)
+
+# (id, build, error, message) of each node a constructor refuses: the field
+# types of _Record, then each class's value rules
+REFUSALS = [
+    ("Theta-yes", lambda: Theta("yes"), TypeError, "Theta.alternating must be a bool, not 'yes'"),
+    ("FamilyGF-2", lambda: FamilyGF("A", 2), TypeError, "FamilyGF.signed must be a bool, not 2"),
+    (
+        "PochFactor-no",
+        lambda: PochFactor(1, 0, 1, 1, LENGTH_N, denominator="no"),
+        TypeError,
+        "PochFactor.denominator must be a bool, not 'no'",
+    ),
+    ("Add-list", lambda: Add([_Q]), TypeError, f"Add.terms must be a tuple, not [{_Q!r}]"),
+    (
+        "TermTemplate-list",
+        lambda: TermTemplate(1, 0, [_FACTOR]),
+        TypeError,
+        f"TermTemplate.factors must be a tuple, not [{_FACTOR!r}]",
+    ),
+    ("Pow-float", lambda: Pow(_Q, 1.5), TypeError, "Pow.k must be an int, not 1.5"),
+    ("Poch-float", lambda: Poch(Parameter(1, 1), 1.5), TypeError, "Poch.step must be an int, not 1.5"),
+    ("Parameter-float", lambda: Parameter(1, 1.5), TypeError, "Parameter.exponent must be an int, not 1.5"),
+    ("Scale-coefficient", lambda: Scale(0.5, _Q), TypeError, "Scale.factor must be an int, not 0.5"),
+    ("Monomial-coefficient", lambda: Monomial(1, 0.5), TypeError, "Monomial.coefficient must be an int, not 0.5"),
+    ("Monomial-exponent", lambda: Monomial(-1), SeriesError, "negative exponents are not representable"),
+    (
+        "RationalGF-numerator",
+        lambda: RationalGF((1, 1.5), ((1, 1, 1),)),
+        SeriesError,
+        "a series' coefficients must be integers",
+    ),
+    (
+        "RationalGF-exponent",
+        lambda: RationalGF((1,), ((1, 0, 1),)),
+        QEngineError,
+        "denominator factor exponent must be at least 1",
+    ),
+    ("RationalGF-sign", lambda: RationalGF((1,), ((2, 1, 1),)), QEngineError, "denominator factor sign must be -1 or +1"),
+    (
+        "RationalGF-multiplicity",
+        lambda: RationalGF((1,), ((1, 1, 1), (-1, 2, 0))),
+        QEngineError,
+        "denominator factor multiplicity must be at least 1",
+    ),
+    (
+        "Phi21-zero-z",
+        lambda: Phi21(*_PHI21, Parameter.zero()),
+        QEngineError,
+        "phi21 needs z = +-q^e with e >= 1 to truncate",
+    ),
+    (
+        "Phi21-z",
+        lambda: Phi21(*_PHI21, Parameter(-1, 0)),
+        QEngineError,
+        "phi21 needs z = +-q^e with e >= 1 to truncate",
+    ),
+    (
+        "Phi21-c",
+        lambda: Phi21(Parameter(1, 1), Parameter(1, 2), Parameter(1, 0), 2, Parameter(1, 1)),
+        QEngineError,
+        "c = q^0 makes the denominator Pochhammer vanish",
+    ),
+    ("Phi21-step", lambda: Phi21(*_PHI21[:3], 0, Parameter(1, 1)), QEngineError, "phi21 step must be at least 1"),
+    ("FamilyGF-family", lambda: FamilyGF("Z"), KeyError, _unknown_family("Z")),
+    ("FamilyGF-signed-family", lambda: FamilyGF("Z", True), KeyError, _unknown_family("Z")),
+    ("FamilyCounts-family", lambda: FamilyCounts("Z"), PartitionError, "unknown family 'Z'"),
+    ("FamilyCounts-mode", lambda: FamilyCounts("A", "weird"), PartitionError, "unknown weight mode 'weird'"),
+    ("CoefficientFormula-name", lambda: CoefficientFormula("bogus"), KeyError, _FORMULAS),
+    (
+        "AdyCounts-zero",
+        lambda: AdyCounts(False, True),
+        PartitionError,
+        "a zero part is only meaningful for distinct parts",
+    ),
+    (
+        "CubicProgression-offset",
+        lambda: CubicProgression(-1, (1, 0), (1, 0), (1, 1)),
+        SeriesError,
+        "cubic progression offset must be a nonnegative integer",
+    ),
+    ("Parameter-sign", lambda: Parameter(2, 1), QEngineError, "parameter sign must be -1, 0 or +1"),
+    ("TermTemplate-prefix", lambda: TermTemplate(0, 1, ()), QEngineError, "prefix exponent must strictly increase in n"),
+    (
+        "MockThetaForm-route",
+        lambda: MockThetaForm("psi", "ady"),
+        QEngineError,
+        "no mock theta route 'psi', form 'ady', argument sign 1",
+    ),
+    ("ColoredPart-value", lambda: ColoredPart(0, partitions.BLUE), PartitionError, "part values must be positive"),
+    ("Cell-color", lambda: Cell("red", partitions.ODD), PartitionError, "unknown color 'red'"),
+    (
+        "FamilySpec-weight",
+        lambda: FamilySpec("X", (), (), "weird"),
+        PartitionError,
+        "unknown weight mode 'weird'",
+    ),
+    (
+        "Comparison-index",
+        lambda: registry.Comparison(False, 1.0),
+        TypeError,
+        "Comparison.index must be an int or None, not 1.0",
+    ),
+    (
+        "IdentityReport-order",
+        lambda: registry.IdentityReport("id", "40"),
+        TypeError,
+        "IdentityReport.order_checked must be an int, not '40'",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, error, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_a_bad_record_is_refused_when_built(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert refused.type is error
+    assert refused.value.args == (message,)
