@@ -159,10 +159,6 @@ class CubicProgression(_Record):
     def __post_init__(self):
         if self.offset < 0:
             raise SeriesError("cubic progression offset must be a nonnegative integer")
-        for name in ("a", "b", "c"):
-            pair = getattr(self, name)
-            if not (len(pair) == 2 and all(isinstance(x, int) for x in pair)):
-                raise SeriesError(f"cubic progression {name} must be a (slope, intercept) pair of integers")
 
 
 Recipe = Union[

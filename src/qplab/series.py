@@ -41,6 +41,7 @@ of the package's frozen records.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from operator import add, sub
 from typing import Optional, Sequence, Union
@@ -56,8 +57,65 @@ def _check_order(order: int) -> None:
         raise SeriesError(f"cannot evaluate through q^{order}: the order must be nonnegative")
 
 
-_KINDS = {"int": (int, "an int"), "bool": (bool, "a bool"), "tuple": (tuple, "a tuple"),
-          "Optional[int]": ((int, type(None)), "an int or None")}
+_KINDS = {"int": ((int,), "an int"), "bool": ((bool,), "a bool")}
+
+
+def _split(args: str) -> list[str]:
+    """The comma-separated arguments of a subscript, split at bracket depth 0."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(args):
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            parts.append(args[start:i].strip())
+            start = i + 1
+    return parts + [args[start:].strip()]
+
+
+def _kind(annotation: str, namespace: dict):
+    """The type rule of a field annotation, or None where the rule checks nothing.
+
+    A rule is (types, text, each, fixed): the value must be an instance of
+    `types`, described by `text`; a ``tuple[X, ...]`` has the rule `each`
+    of X for every element, a ``tuple[X, Y, ...]`` the rules `fixed`, one
+    per element (None for an element it does not check), and its length.
+    """
+    annotation = annotation.strip().strip("'\"")
+    if annotation in _KINDS:
+        return (*_KINDS[annotation], None, None)
+    if annotation.startswith("Optional[") and (inner := _kind(annotation[9:-1], namespace)):
+        return (inner[0] + (type(None),), f"{inner[1]} or None", None, None)
+    if annotation.startswith("tuple["):
+        args = _split(annotation[6:-1])
+        if args[-1] == "...":
+            return ((tuple,), "a tuple", _kind(args[0], namespace), None)
+        return ((tuple,), f"a tuple of {len(args)} items", None, tuple(_kind(a, namespace) for a in args))
+    value = namespace.get(annotation)
+    types = (value,) if isinstance(value, type) else getattr(value, "__args__", ())
+    if not types or not all(isinstance(t, type) and issubclass(t, _Record) for t in types):
+        return None
+    return (types, f"{'an' if annotation[0] in 'AEIOU' else 'a'} {annotation}", None, None)
+
+
+def _breach(value, rule):
+    """(index path, part, text) of the first part of `value` that breaks `rule`, or None."""
+    types, text, each, fixed = rule
+    if not isinstance(value, types) or (fixed is not None and len(value) != len(fixed)):
+        return "", value, text
+    if each is not None:
+        if each[2] is None and each[3] is None:  # elements with no parts of their own
+            for i, item in enumerate(value):
+                if not isinstance(item, each[0]):
+                    return f"[{i}]", item, each[1]
+            return None
+        rules = [each] * len(value)
+    elif fixed is not None:
+        rules = fixed
+    else:
+        return None
+    for i, (item, rule) in enumerate(zip(value, rules)):
+        if rule is not None and (found := _breach(item, rule)):
+            return f"[{i}]{found[0]}", found[1], found[2]
+    return None
 
 
 class _Record:
@@ -75,15 +133,22 @@ class _Record:
     generated per class, because generating them costs import time that
     every CLI call pays.
 
-    A field annotated ``int``, ``bool``, ``Optional[int]`` or ``tuple[...]``
-    (a string, looked up in ``_KINDS``) must hold one: ``__init__`` raises
-    TypeError otherwise, before ``__post_init__``, which may assume the types.
+    A field annotated ``int``, ``bool``, a record class, a ``Union`` of
+    record classes (``recipes.Recipe``), ``Optional[...]`` of one of these,
+    or ``tuple[...]`` must hold one, and each element of a tuple must meet
+    the rule of its own annotation (``tuple[X, ...]`` or one per position,
+    which also fixes the length): ``__init__`` raises TypeError otherwise,
+    naming the field and the element's index, before ``__post_init__``,
+    which may assume the types.  The annotations are strings; a class
+    resolves them in its module, where a forward reference such as
+    ``"Recipe"`` is bound by then, when its first instance is built.
     """
 
     __slots__ = ()
     _fields = ()
     _defaults = {}
-    _kinds = ()  # (field, types, text) for each field the type rule checks
+    _annotated = ()  # (field, annotation, module) of every field, in order
+    _kinds = None  # (field, rule) for each field the type rule checks, once resolved
     _hash = None  # the instance's own, once hash() has computed it
 
     def __init_subclass__(cls, **kwargs):
@@ -91,9 +156,16 @@ class _Record:
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
-        for name, kind in own.items():
-            if rule := _KINDS.get("tuple" if str(kind).startswith("tuple[") else kind):
-                cls._kinds += ((name, *rule),)
+        cls._annotated += tuple((name, str(kind), cls.__module__) for name, kind in own.items())
+        cls._kinds = None
+
+    @classmethod
+    def _type_rules(cls) -> tuple:
+        """(field, rule) of each field the type rule checks, resolved on the first call."""
+        if cls._kinds is None:
+            rules = ((name, _kind(kind, vars(sys.modules[module]))) for name, kind, module in cls._annotated)
+            cls._kinds = tuple((name, rule) for name, rule in rules if rule is not None)
+        return cls._kinds
 
     def __init__(self, *args, **kwargs):
         name, fields = type(self).__name__, self._fields
@@ -118,9 +190,15 @@ class _Record:
             else:
                 raise TypeError(f"{name}() is missing field {field!r}")
             object.__setattr__(self, field, value)
-        for field, types, kind in self._kinds:
-            if not isinstance(getattr(self, field), types):
-                raise TypeError(f"{name}.{field} must be {kind}, not {getattr(self, field)!r}")
+        kinds = self._kinds
+        if kinds is None:
+            kinds = self._type_rules()
+        for field, rule in kinds:
+            value = getattr(self, field)
+            # a rule with element rules is walked; any other needs one isinstance
+            if (rule[2] or rule[3] or not isinstance(value, rule[0])) and (found := _breach(value, rule)):
+                path, part, kind = found
+                raise TypeError(f"{name}.{field}{path} must be {kind}, not {part!r}")
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:
             post_init()

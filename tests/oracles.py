@@ -267,6 +267,39 @@ def family_predicate(parts, name):
     raise ValueError(name)
 
 
+def spec_member(parts, anchor, cells):
+    """Membership in any family spec, written from the FamilySpec and Cell docstrings.
+
+    `anchor` lists the colors holding the odd smallest part, one copy each
+    (empty when the family has no smallest-part rule); `cells` maps each
+    allowed (color, parity) to (distinct, offset).  Past the anchor copies,
+    every part lies in its cell, at or above smallest + offset when the
+    family is anchored, and a distinct cell holds each value at most once.
+    """
+    rest = Counter(parts)
+    smallest = None
+    if anchor:
+        if not parts:
+            return False
+        smallest = min(v for v, _ in parts)
+        if smallest % 2 == 0:
+            return False
+        for color in anchor:
+            if rest[(smallest, color)] == 0:
+                return False
+            rest[(smallest, color)] -= 1
+    for (v, color), copies in rest.items():
+        if copies == 0:
+            continue
+        cell = cells.get((color, "odd" if v % 2 else "even"))
+        if cell is None:
+            return False
+        distinct, offset = cell
+        if (distinct and copies > 1) or (smallest is not None and v < smallest + offset):
+            return False
+    return True
+
+
 def filter_family(n, name):
     """Family members of n found by filtering the full two-color list."""
     if n == 0:

@@ -546,17 +546,16 @@ def test_cubic_progression_checks_the_callers_coefficients():
     # each bad field is refused when the record is built, so evaluation
     # builds its series unchecked: slope 1/2 would give the integral floats
     # (n+1) n/2, and offset -1 would write the last coefficient; an offset
-    # that is no int and a pair that is no tuple break _Record's type rule
+    # that is no int and a pair that is not two ints break _Record's type rule
     offset = "cubic progression offset must be a nonnegative integer"
-    pair = "cubic progression {} must be a (slope, intercept) pair of integers"
     for fields, error, text in (
         ((0.5, (1, 0), (1, 0), (1, 1)), TypeError, "CubicProgression.offset must be an int, not 0.5"),
         ((-1, (1, 0), (1, 0), (1, 1)), SeriesError, offset),
-        ((0, (0.5, 0), (1, 0), (1, 1)), SeriesError, pair.format("a")),
-        ((0, (1, 0), (1, 0.5), (1, 1)), SeriesError, pair.format("b")),
-        ((0, (1, 0), (1, 0), (1, "1")), SeriesError, pair.format("c")),
-        ((0, (1, 0), (1, 0), (1,)), SeriesError, pair.format("c")),
-        ((0, (1, 0), (1, 0), [1, 1]), TypeError, "CubicProgression.c must be a tuple, not [1, 1]"),
+        ((0, (0.5, 0), (1, 0), (1, 1)), TypeError, "CubicProgression.a[0] must be an int, not 0.5"),
+        ((0, (1, 0), (1, 0.5), (1, 1)), TypeError, "CubicProgression.b[1] must be an int, not 0.5"),
+        ((0, (1, 0), (1, 0), (1, "1")), TypeError, "CubicProgression.c[1] must be an int, not '1'"),
+        ((0, (1, 0), (1, 0), (1,)), TypeError, "CubicProgression.c must be a tuple of 2 items, not (1,)"),
+        ((0, (1, 0), (1, 0), [1, 1]), TypeError, "CubicProgression.c must be a tuple of 2 items, not [1, 1]"),
     ):
         with pytest.raises(error) as refused:
             recipes.CubicProgression(*fields)

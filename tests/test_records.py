@@ -58,38 +58,60 @@ FIELDS = {
     "registry.IdentityReport": ("id", "order_checked", "mismatch", "notes", "elapsed_ms"),
 }
 
-# the fields _Record's type rule checks in each class, with the type each must have
+# the fields _Record's type rule checks in each class, with the type each must
+# have: a tuple's rule is (its text, the rule of every element) for tuple[X, ...]
+# and (its text, a rule per position) for a tuple of fixed length
 INT, BOOL, TUPLE, INT_OR_NONE = "an int", "a bool", "a tuple", "an int or None"
+RECIPE, PARAMETER, PAIR = "a Recipe", "a Parameter", ("a tuple of 2 items", (INT, INT))
 KINDS = {
     "series.Comparison": {"equal": BOOL, "index": INT_OR_NONE, "lhs": INT_OR_NONE, "rhs": INT_OR_NONE},
     "qengine.Parameter": {"sign": INT, "exponent": INT},
-    "qengine.Poch": {"step": INT, "length": INT_OR_NONE},
+    "qengine.Poch": {"a": PARAMETER, "step": INT, "length": INT_OR_NONE},
     "qengine.PochFactor": {"sign": INT, "exp_slope": INT, "exp_offset": INT, "step": INT, "denominator": BOOL},
-    "qengine.TermTemplate": {"prefix_slope": INT, "prefix_offset": INT, "factors": TUPLE, "alternating": BOOL},
+    "qengine.TermTemplate": {
+        "prefix_slope": INT, "prefix_offset": INT, "factors": (TUPLE, "a PochFactor"), "alternating": BOOL,
+    },
     "mocktheta.MockThetaForm": {"argument_sign": INT},
     "partitions.ColoredPart": {"value": INT},
     "partitions.Cell": {"distinct": BOOL, "min_offset": INT},
-    "partitions.FamilySpec": {"anchor": TUPLE, "cells": TUPLE},
+    "partitions.FamilySpec": {"anchor": TUPLE, "cells": (TUPLE, "a Cell")},
     "recipes.Monomial": {"exponent": INT, "coefficient": INT},
-    "recipes.Add": {"terms": TUPLE},
-    "recipes.Scale": {"factor": INT},
-    "recipes.Mul": {"factors": TUPLE},
-    "recipes.Pow": {"k": INT},
-    "recipes.NegVar": {},
-    "recipes.RationalGF": {"numerator": TUPLE, "denominator": TUPLE},
-    "recipes.Phi21": {"step": INT},
+    "recipes.Add": {"terms": (TUPLE, RECIPE)},
+    "recipes.Scale": {"factor": INT, "node": RECIPE},
+    "recipes.Mul": {"factors": (TUPLE, RECIPE)},
+    "recipes.Pow": {"node": RECIPE, "k": INT},
+    "recipes.NegVar": {"node": RECIPE},
+    "recipes.RationalGF": {
+        "numerator": (TUPLE, INT), "denominator": (TUPLE, ("a tuple of 3 items", (INT, INT, INT))),
+    },
+    "recipes.Phi21": {"a": PARAMETER, "b": PARAMETER, "c": PARAMETER, "step": INT, "z": PARAMETER},
     "recipes.Theta": {"alternating": BOOL},
     "recipes.FamilyCounts": {},
     "recipes.FamilyGF": {"signed": BOOL},
     "recipes.Overpartitions": {"odd_only": BOOL},
     "recipes.AdyCounts": {"distinct": BOOL, "allow_zero": BOOL},
     "recipes.CoefficientFormula": {"alternating": BOOL},
-    "recipes.CubicProgression": {"offset": INT, "a": TUPLE, "b": TUPLE, "c": TUPLE, "alternating": BOOL},
+    "recipes.CubicProgression": {"offset": INT, "a": PAIR, "b": PAIR, "c": PAIR, "alternating": BOOL},
     "recipes._Rule": {"counts": BOOL},
-    "registry.IdentityCase": {},
-    "registry.IdentityReport": {"order_checked": INT, "elapsed_ms": INT},
+    "registry.IdentityCase": {"lhs": RECIPE, "rhs": RECIPE},
+    "registry.IdentityReport": {"order_checked": INT, "mismatch": "a Comparison or None", "elapsed_ms": INT},
 }
 
+
+def _spell(rule):
+    """A resolved type rule in the form KINDS pins it."""
+    if rule is None:
+        return None
+    _, text, each, fixed = rule
+    if each is not None:
+        return (text, _spell(each))
+    if fixed is not None:
+        return (text, tuple(map(_spell, fixed)))
+    return text
+
+
+def _text(kind):
+    return kind if isinstance(kind, str) else kind[0]
 
 def _key(cls):
     return f"{cls.__module__.removeprefix('qplab.')}.{cls.__qualname__}"
@@ -172,7 +194,7 @@ def test_the_computed_hash_is_no_field(key):
 
 def test_an_unhashable_field_raises_type_error_on_every_call():
     # a field with no type rule may hold a list, which builds but cannot hash
-    record = registry.IdentityCase("id", "a list side", "test", [Monomial(0, 1)], Monomial(0, 1))
+    record = registry.IdentityCase("id", ["a list description"], "test", Monomial(0, 1), Monomial(0, 1))
     for _ in range(3):
         with pytest.raises(TypeError, match="unhashable"):
             hash(record)
@@ -245,8 +267,10 @@ def test_every_record_class_pins_the_fields_its_type_rule_checks():
     classes = {_key(cls): cls for cls in _subclasses(_Record)}
     assert sorted(KINDS) == sorted(classes)
     for key, cls in classes.items():
-        assert {field: kind for field, _, kind in cls._kinds} == KINDS[key], key
-        assert [field for field, _, _ in cls._kinds] == [f for f in FIELDS[key] if f in KINDS[key]], key
+        rules = cls._type_rules()
+        assert rules is cls._type_rules(), key  # resolved once per class
+        assert {field: _spell(rule) for field, rule in rules} == KINDS[key], key
+        assert [field for field, _ in rules] == [f for f in FIELDS[key] if f in KINDS[key]], key
 
 
 KINDED = [(key, field) for key in sorted(KINDS) for field in KINDS[key]]
@@ -260,7 +284,7 @@ def test_a_field_of_the_wrong_type_is_refused_before_post_init(key, field):
     given = dict(zip(FIELDS[key], _values(record)), **{field: "x"})
     with pytest.raises(TypeError) as refused:
         type(record)(**given)
-    assert str(refused.value) == f"{type(record).__qualname__}.{field} must be {KINDS[key][field]}, not 'x'"
+    assert str(refused.value) == f"{type(record).__qualname__}.{field} must be {_text(KINDS[key][field])}, not 'x'"
 
 
 def test_a_bool_is_an_int_and_an_int_is_no_bool():
@@ -303,8 +327,42 @@ REFUSALS = [
     (
         "RationalGF-numerator",
         lambda: RationalGF((1, 1.5), ((1, 1, 1),)),
-        SeriesError,
-        "a series' coefficients must be integers",
+        TypeError,
+        "RationalGF.numerator[1] must be an int, not 1.5",
+    ),
+    (
+        "RationalGF-denominator-item",
+        lambda: RationalGF((1,), ((1, 1.5, 1),)),
+        TypeError,
+        "RationalGF.denominator[0][1] must be an int, not 1.5",
+    ),
+    (
+        "RationalGF-denominator-length",
+        lambda: RationalGF((1,), ((1, 1),)),
+        TypeError,
+        "RationalGF.denominator[0] must be a tuple of 3 items, not (1, 1)",
+    ),
+    ("Add-item", lambda: Add((1, 2)), TypeError, "Add.terms[0] must be a Recipe, not 1"),
+    ("Mul-item", lambda: Mul((_Q, "q")), TypeError, "Mul.factors[1] must be a Recipe, not 'q'"),
+    (
+        "TermTemplate-item",
+        lambda: TermTemplate(1, 0, (1,)),
+        TypeError,
+        "TermTemplate.factors[0] must be a PochFactor, not 1",
+    ),
+    ("Phi21-int", lambda: Phi21(1, 2, 3, 1, Parameter(1, 1)), TypeError, "Phi21.a must be a Parameter, not 1"),
+    ("Pow-node", lambda: Pow(2, 3), TypeError, "Pow.node must be a Recipe, not 2"),
+    (
+        "FamilySpec-cell",
+        lambda: FamilySpec("X", (), ((partitions.BLUE, partitions.ODD),)),
+        TypeError,
+        "FamilySpec.cells[0] must be a Cell, not ('b', 'odd')",
+    ),
+    (
+        "IdentityReport-mismatch",
+        lambda: registry.IdentityReport("id", 40, "none"),
+        TypeError,
+        "IdentityReport.mismatch must be a Comparison or None, not 'none'",
     ),
     (
         "RationalGF-exponent",
