@@ -101,18 +101,9 @@ def _breach(value, rule):
     types, text, each, fixed = rule
     if not isinstance(value, types) or (fixed is not None and len(value) != len(fixed)):
         return "", value, text
-    if each is not None:
-        if each[2] is None and each[3] is None:  # elements with no parts of their own
-            for i, item in enumerate(value):
-                if not isinstance(item, each[0]):
-                    return f"[{i}]", item, each[1]
-            return None
-        rules = [each] * len(value)
-    elif fixed is not None:
-        rules = fixed
-    else:
+    if each is None and fixed is None:
         return None
-    for i, (item, rule) in enumerate(zip(value, rules)):
+    for i, (item, rule) in enumerate(zip(value, fixed or [each] * len(value))):
         if rule is not None and (found := _breach(item, rule)):
             return f"[{i}]{found[0]}", found[1], found[2]
     return None
