@@ -60,17 +60,6 @@ def _check_order(order: int) -> None:
 _KINDS = {"int": ((int,), "an int"), "bool": ((bool,), "a bool")}
 
 
-def _split(args: str) -> list[str]:
-    """The comma-separated arguments of a subscript, split at bracket depth 0."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(args):
-        depth += (ch == "[") - (ch == "]")
-        if ch == "," and depth == 0:
-            parts.append(args[start:i].strip())
-            start = i + 1
-    return parts + [args[start:].strip()]
-
-
 def _kind(annotation: str, namespace: dict):
     """The type rule of a field annotation, or None where the rule checks nothing.
 
@@ -84,10 +73,10 @@ def _kind(annotation: str, namespace: dict):
         return (*_KINDS[annotation], None, None)
     if annotation.startswith("Optional[") and (inner := _kind(annotation[9:-1], namespace)):
         return (inner[0] + (type(None),), f"{inner[1]} or None", None, None)
-    if annotation.startswith("tuple["):
-        args = _split(annotation[6:-1])
-        if args[-1] == "...":
-            return ((tuple,), "a tuple", _kind(args[0], namespace), None)
+    if annotation.endswith(", ...]"):
+        return ((tuple,), "a tuple", _kind(annotation[6:-6], namespace), None)
+    if annotation.startswith("tuple["):  # of fixed length, each element a name
+        args = annotation[6:-1].split(",")
         return ((tuple,), f"a tuple of {len(args)} items", None, tuple(_kind(a, namespace) for a in args))
     value = namespace.get(annotation)
     types = (value,) if isinstance(value, type) else getattr(value, "__args__", ())
@@ -97,14 +86,16 @@ def _kind(annotation: str, namespace: dict):
 
 
 def _breach(value, rule):
-    """(index path, part, text) of the first part of `value` that breaks `rule`, or None."""
+    """(index path, part, text) of the first part of `value` that breaks `rule`, or None.
+
+    Called for a rule with element rules, or for a value outside its types:
+    any other value needs one isinstance, which the callers make themselves.
+    """
     types, text, each, fixed = rule
     if not isinstance(value, types) or (fixed is not None and len(value) != len(fixed)):
         return "", value, text
-    if each is None and fixed is None:
-        return None
     for i, (item, rule) in enumerate(zip(value, fixed or [each] * len(value))):
-        if rule is not None and (found := _breach(item, rule)):
+        if rule and (rule[2] or rule[3] or not isinstance(item, rule[0])) and (found := _breach(item, rule)):
             return f"[{i}]{found[0]}", found[1], found[2]
     return None
 
@@ -186,7 +177,6 @@ class _Record:
             kinds = self._type_rules()
         for field, rule in kinds:
             value = getattr(self, field)
-            # a rule with element rules is walked; any other needs one isinstance
             if (rule[2] or rule[3] or not isinstance(value, rule[0])) and (found := _breach(value, rule)):
                 path, part, kind = found
                 raise TypeError(f"{name}.{field}{path} must be {kind}, not {part!r}")
