@@ -73,10 +73,10 @@ def _kind(annotation: str, namespace: dict):
         return (*_KINDS[annotation], None, None)
     if annotation.startswith("Optional[") and (inner := _kind(annotation[9:-1], namespace)):
         return (inner[0] + (type(None),), f"{inner[1]} or None", None, None)
-    if annotation.endswith(", ...]"):
-        return ((tuple,), "a tuple", _kind(annotation[6:-6], namespace), None)
-    if annotation.startswith("tuple["):  # of fixed length, each element a name
-        args = annotation[6:-1].split(",")
+    if annotation.startswith("tuple["):
+        if annotation.endswith(", ...]"):
+            return ((tuple,), "a tuple", _kind(annotation[6:-6], namespace), None)
+        args = annotation[6:-1].split(",")  # a fixed length: each element is a name
         return ((tuple,), f"a tuple of {len(args)} items", None, tuple(_kind(a, namespace) for a in args))
     value = namespace.get(annotation)
     types = (value,) if isinstance(value, type) else getattr(value, "__args__", ())
