@@ -8,11 +8,12 @@ independent computations hang off that table:
 * ``enumerate_family`` lists the actual partitions, choosing the smallest
   value first and then copy counts for the (value, color) slots of its cells
   and its anchor copies, which are slots that must hold a copy; each slot is
-  one integer rank, the choices from a slot on are lists of rank tuples
-  memoized per slot and remainder, the tuples are sorted once, and each
-  partition keeps its tuple as a key into one table per call of the 2n
-  parts and their names: its parts and text are read through the table
-  only when asked for, and ``==`` and ``hash`` read n and the key alone;
+  one letter, a character whose code point is the part's rank, the choices
+  from a slot on are lists of strings of letters memoized per slot and
+  remainder, the strings are sorted once, and each partition keeps its
+  string as a key into one table per call of the 2n parts and their names:
+  its parts and text are read through the table only when asked for, and
+  ``==`` and ``hash`` read n and the key alone;
 * ``count_family`` / ``family_series`` count through products of
   per-value factors, built from the largest smallest value down by
   multiplying in the factor that joins, so that one product's kernel calls
@@ -33,6 +34,7 @@ them structurally separate is the point, not an accident.
 from __future__ import annotations
 
 import math
+import sys
 from operator import add, sub
 from typing import Optional
 
@@ -80,32 +82,47 @@ class ColoredPart(_Record):
         return f"{self.value}{self.color}"
 
 
-def _rank(n: int, value: int, color: str) -> int:
-    """Rank of a part of n: ascending ranks put larger values first, blue before green."""
-    return 2 * (n - value) + (1 if color == GREEN else 0)
+def _letter(n: int, value: int, color: str) -> str:
+    """A part of n as one character: ascending letters put larger values first, blue before green.
+
+    The letter's code point is the part's rank, 2 (n - value), plus 1 for
+    green.  A rank past the last code point, 0x10FFFF, is refused; only an n
+    above 557,055 has parts of such a rank.
+    """
+    rank = 2 * (n - value) + (1 if color == GREEN else 0)
+    if rank > sys.maxunicode:
+        raise PartitionError(
+            f"part {value}{color} of a partition of {n} has rank {rank}, "
+            "past the last code point 0x10FFFF"
+        )
+    return chr(rank)
 
 
 class _PartTable:
-    """The parts of partitions of n by rank, and the text of each."""
+    """The parts of partitions of n by letter, and the text of each."""
 
     __slots__ = ("n", "parts", "names")
 
     def __init__(self, n: int, parts):
         self.n = n
-        self.parts = {_rank(n, p.value, p.color): p for p in parts}
-        self.names = {r: str(p) for r, p in self.parts.items()}
+        self.parts = {_letter(n, p.value, p.color): p for p in parts}
+        self.names = {c: str(p) for c, p in self.parts.items()}
 
 
 class TwoColorPartition:
     """An immutable multiset of colored parts in canonical order.
 
-    A partition of n is a key into a table: the ascending ranks of its
-    parts in a `_PartTable` of n.  The partitions of one `enumerate_family`
-    call share the call's table of its 2n parts; the constructor ranks the
-    parts it is given into a table of their own, with n their sum.  Since
-    n and the key determine the parts, `==` and `hash` read (n, key) and
-    equal partitions on different tables compare and hash equal; `parts`,
-    `text()` and `count` walk the key through the table on every call.
+    A partition of n is a key into a table: the string of its parts'
+    `_letter`s in ascending order, each letter a key of a `_PartTable` of
+    n.  Strings compare by code point, so ascending keys are the canonical
+    order, and a string holds no reference the garbage collector tracks.
+    The partitions of one `enumerate_family` call share the call's table of
+    its 2n parts; the constructor puts the parts it is given into a table
+    of their own, with n their sum, and refuses a part whose rank is past
+    the last code point.  Since n and the key determine the parts, `==` and
+    `hash` read (n, key) and equal partitions on different tables compare
+    and hash equal; `parts`, `text()` and `count` walk the key through the
+    table on every call.
     """
 
     __slots__ = ("_key", "_table")
@@ -114,7 +131,7 @@ class TwoColorPartition:
         parts = list(parts)
         n = sum(p.value for p in parts)
         self._table = _PartTable(n, parts)
-        self._key = tuple(sorted(_rank(n, p.value, p.color) for p in parts))
+        self._key = "".join(sorted(_letter(n, p.value, p.color) for p in parts))
 
     @classmethod
     def _on_table(cls, keys, table: _PartTable) -> list["TwoColorPartition"]:
@@ -362,23 +379,26 @@ def statistic_counts(spec: FamilySpec, n: int) -> tuple[int, int, int, int]:
 def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
     """Every family partition of n exactly once, in canonical order.
 
-    The walk builds integers, not objects.  Each (value, color) slot is
-    named by its `_rank`, so ascending ranks are the canonical order.  For
-    each smallest value s (a single pass with s = None when the family
-    anchors none) the family's cells become one row of slots (value, rank,
-    least, most) sorted by descending rank, so by ascending value.  A cell's
+    The walk builds strings, not objects.  Each (value, color) slot is
+    named by its `_letter`, so ascending letters are the canonical order.
+    For each smallest value s (a single pass with s = None when the family
+    anchors none) the family's cells become one row of slots (value, letter,
+    least, most) sorted by descending letter, so by ascending value.  A cell's
     slot holds 0 or 1 copies if the cell is distinct, else any number; each
     anchor copy of s is a slot with a least count of 1, merged with the
     cell's slot of the same (s, color) if there is one and otherwise holding
     exactly that copy.  The completions of slot j and a remainder rem, every
     choice of copy counts from slot j on whose values sum to rem, are one
-    list of rank tuples: those of (j + 1, rem - k * value) with (rank,) * k
+    list of strings: those of (j + 1, rem - k * value) with letter * k
     appended, for each count k the slot allows.  A remainder of 0 completes
-    only past every anchor slot.  The slots after j rank lower, so each
-    tuple is ascending as built, and the lists are memoized on (j, rem)
+    only past every anchor slot.  The slots after j have lower letters, so
+    each string is ascending as built, and the lists are memoized on (j, rem)
     within one s, so a tail of the row shared by many heads is built once.
     The memo is dropped as soon as the top list stands, and the keys of all
-    s are sorted once, which is the canonical order of the partitions.  Each
+    s are sorted once, which is the canonical order of the partitions: the
+    letters of n <= 30 are below 60, so every key is a string of one byte
+    per letter, which the sort compares by memcmp, and no key is an object
+    the garbage collector tracks.  Each
     key becomes a partition as it stands, on one `_PartTable` of the 2n
     parts and their names built once per call, so no part is looked up and
     no name joined until a partition's parts or text are read.  The listing
@@ -392,38 +412,38 @@ def enumerate_family(spec: FamilySpec, n: int) -> list[TwoColorPartition]:
         raise PartitionError(
             f"n {n} exceeds the enumeration budget {DEFAULT_ENUMERATION_BUDGET}"
         )
-    keys: list[tuple[int, ...]] = []
-    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    keys: list[str] = []
+    memo: dict[tuple[int, int], list[str]] = {}
 
-    def completions(j: int, rem: int) -> list[tuple[int, ...]]:
+    def completions(j: int, rem: int) -> list[str]:
         # reads the `slots` and `forced` of the current smallest value
         if rem == 0:
-            return [()] if j >= forced else []
+            return [""] if j >= forced else []
         if j == len(slots) or slots[j][0] > rem:
             return []
         out = memo.get((j, rem))
         if out is not None:
             return out
-        v, r, least, most = slots[j]
+        v, letter, least, most = slots[j]
         out = completions(j + 1, rem)[:] if least == 0 else []
         for k in range(max(least, 1), min(most, rem // v) + 1):
-            copies = (r,) * k
+            copies = letter * k
             out += [t + copies for t in completions(j + 1, rem - k * v)]
         memo[(j, rem)] = out
         return out
 
     smallest_values = range(1, n // len(spec.anchor) + 1, 2) if spec.anchor else [None]
     for s in smallest_values:
-        # rank -> (value, least, most): the copies its slot may hold
+        # letter -> (value, least, most): the copies its slot may hold
         row = {
-            _rank(n, v, cell.color): (v, 0, 1 if cell.distinct else n)
+            _letter(n, v, cell.color): (v, 0, 1 if cell.distinct else n)
             for cell in spec.cells
             for v in range(_cell_start(cell, s), n + 1, 2)
         }
         for color in spec.anchor:
-            _, least, most = row.get(r := _rank(n, s, color), (s, 0, 0))
-            row[r] = (s, least + 1, most + 1)
-        slots = [(v, r, least, most) for r, (v, least, most) in sorted(row.items(), reverse=True)]
+            _, least, most = row.get(c := _letter(n, s, color), (s, 0, 0))
+            row[c] = (s, least + 1, most + 1)
+        slots = [(v, c, least, most) for c, (v, least, most) in sorted(row.items(), reverse=True)]
         forced = max((j + 1 for j, slot in enumerate(slots) if slot[2]), default=0)
         keys += completions(0, n)
         memo.clear()

@@ -269,15 +269,17 @@ def rational_series(
     ``idiv_one_minus`` call, which divides by its whole multiplicity.
     """
     _check_order(order)
-    _check_rational(numerator, denominator_factors)
-    out = list(Series.from_polynomial(numerator, order).coeffs)
+    # one conversion at full length, so that a coefficient that is no
+    # integer is refused above the order too
+    out = list(Series.from_polynomial(numerator, max(order, len(numerator) - 1)).coeffs)
+    del out[order + 1:]
+    _check_denominator(denominator_factors)
     for sign, e, mult in denominator_factors:
         idiv_one_minus(out, sign, e, order, mult)
     return Series._trusted(out)
 
 
-def _check_rational(numerator: Sequence[int], denominator_factors: Sequence[tuple]) -> None:
-    Series.from_polynomial(numerator, len(numerator))  # refuses a coefficient that is no integer
+def _check_denominator(denominator_factors: Sequence[tuple]) -> None:
     for sign, e, mult in denominator_factors:
         if e < 1:
             raise QEngineError("denominator factor exponent must be at least 1")

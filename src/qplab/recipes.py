@@ -37,7 +37,7 @@ from typing import Any, Callable, Union
 
 from .series import Series, SeriesError, _check_exponent, _check_order, _Record
 from .qengine import _log_derivative_recurrence, _Product, Parameter, Poch, TermTemplate
-from .qengine import _check_phi21, _check_rational, phi21, rational_series, sum_over_smallest
+from .qengine import _check_denominator, _check_phi21, phi21, rational_series, sum_over_smallest
 from .mocktheta import MockThetaForm, mock_theta, theta_squares
 from . import partitions
 from .family_gf import _route, family_gf_series
@@ -80,7 +80,7 @@ class RationalGF(_Record):
     denominator: tuple[tuple[int, int, int], ...]  # (sign, exponent, multiplicity)
 
     def __post_init__(self):
-        _check_rational(self.numerator, self.denominator)
+        _check_denominator(self.denominator)
 
 
 class Phi21(_Record):

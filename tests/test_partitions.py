@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -126,6 +127,50 @@ def test_partitions_of_different_n_with_the_same_key_differ():
     assert one != two and hash(one) != hash(two) and len({one, two}) == 2
     assert one == P.enumerate_family(P.FAMILIES["F"], 1)[0]
     assert two == P.enumerate_family(P.FAMILIES["F"], 2)[0]
+
+
+def test_listed_keys_are_strings_the_garbage_collector_never_tracks():
+    for name, spec in P.FAMILIES.items():
+        members = P.enumerate_family(spec, 14)
+        assert members, name
+        assert all(type(p._key) is str and not gc.is_tracked(p._key) for p in members), name
+
+
+def _from_text(text):
+    return P.TwoColorPartition(P.ColoredPart(int(t[:-1]), t[-1]) for t in text.split("+"))
+
+
+@pytest.mark.parametrize("n, texts", [
+    # ranks past 255 widen the key beyond one byte per letter
+    (300, ["299b+1g", "299g+1b", "150b+150g", "298b+1b+1g", "200g+99b+1b", "297b+2b+1g", "151g+149g"]),
+    # ranks 55,296-57,343 are the code points of the surrogate block
+    (28000, ["27999b+1g", "27999g+1b", "27700b+300g", "14000b+14000g", "27000b+999g+1b", "27998b+1b+1g"]),
+])
+def test_constructed_partitions_with_far_ranks_keep_their_order_and_text(n, texts):
+    members = [_from_text(t) for t in texts]
+    assert all(sum(q.value for q in p.parts) == n for p in members)
+    letters = "".join(p._key for p in members)
+    assert max(map(ord, letters)) > 255
+    if n == 28000:
+        assert any(0xD800 <= ord(c) <= 0xDFFF for c in letters)
+    by_key = sorted(members, key=lambda p: p._key)
+    spelled = sorted(members, key=lambda p: tuple((-q.value, q.color != P.BLUE) for q in p.parts))
+    assert by_key == spelled and [p.text() for p in by_key] == [p.text() for p in spelled]
+    for p, text in zip(members, texts):
+        rebuilt = P.TwoColorPartition(list(reversed(p.parts)))
+        assert rebuilt == p and hash(rebuilt) == hash(p) and rebuilt.parts == p.parts
+        assert p.text() == text and _from_text(p.text()) == p
+
+
+def test_a_rank_past_the_last_code_point_is_refused():
+    # 1b of 557,057 has rank 2 * 557,056 = 0x110000; 1g of 557,056 has the last code point
+    with pytest.raises(P.PartitionError) as refused:
+        P.TwoColorPartition([P.ColoredPart(557056, "b"), P.ColoredPart(1, "b")])
+    assert str(refused.value) == (
+        "part 1b of a partition of 557057 has rank 1114112, past the last code point 0x10FFFF"
+    )
+    last = _from_text("557055b+1g")
+    assert max(map(ord, last._key)) == 0x10FFFF and last.text() == "557055b+1g"
 
 
 def test_count_rejects_unknown_filters():

@@ -396,8 +396,10 @@ def test_public_constructor_still_coerces():
         lambda: Series([float("inf")]),
         lambda: Series.from_polynomial([1.5], 3),
         lambda: qengine.rational_series([1.5], [(1, 1, 1)], 3),
+        lambda: qengine.rational_series([1, 0, 0, 1.5], [(1, 1, 1)], 1),
     ],
-    ids=["floats", "strings", "none", "inf", "from_polynomial", "rational_series"],
+    ids=["floats", "strings", "none", "inf", "from_polynomial", "rational_series",
+         "rational_series_above_the_order"],
 )
 def test_a_coefficient_that_int_would_change_raises(build):
     with pytest.raises(SeriesError, match="^a series' coefficients must be integers$"):
