@@ -87,7 +87,7 @@ def _letter(n: int, value: int, color: str) -> str:
 
     The letter's code point is the part's rank, 2 (n - value), plus 1 for
     green.  A rank past the last code point, 0x10FFFF, is refused; only an n
-    above 557,055 has parts of such a rank.
+    above 557,056 has parts of such a rank.
     """
     rank = 2 * (n - value) + (1 if color == GREEN else 0)
     if rank > sys.maxunicode:
