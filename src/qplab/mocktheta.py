@@ -8,6 +8,8 @@ smallest-part style sums ("ady") that tie them to restricted partitions:
     psi(q)   = sum_{n>=1} q^(n^2) / (q;q^2)_n
     nu(q)    = sum_{n>=0} q^(n(n+1)) / (-q;q^2)_{n+1}
 
+These three are rows of one loop, ``_watson_sum``.  omega_fine has the same
+shape but keeps its own loop, because the catalog compares it with omega.
 psi's sum is taken from n = 1 so that its constant term vanishes; the n = 0
 convention would add a constant 1 that none of its other representations
 carry.  nu's "fine" form is Fine's sum_{n>=0} (-q)^n (q;q^2)_n.  The routes
@@ -48,24 +50,28 @@ class MockThetaForm(_Record):
             )
 
 
-def omega(order: int) -> Series:
-    """omega(q) by its defining sum; terms vanish once 2n^2+2n > order.
+def _watson_sum(order: int, a: int, b: int, d: int, c: int, k: int) -> Series:
+    """sum_{n>=0} q^Q(n) / (c*q;q^2)_{n+1}^k with the shift Q(n) = a*n^2 + b*n + d.
 
-    1/(q;q^2)_{n+1}^2 is carried as one list through q^(order - 2n^2 - 2n),
-    the part that lands within the order, dividing by (1 - q^(2n+3))^2 in
-    one kernel call from one n to the next.
+    One list carries 1/(c*q;q^2)_{n+1}^k through q^(order - Q(n)), the part that
+    lands within the order, and one kernel call divides it by (1 - c*q^(2n+3))^k.
     """
-    _check_order(order)
     total = [0] * (order + 1)
-    inv_sq = [1] + [0] * order
-    idiv_one_minus(inv_sq, 1, 1, order, 2)  # 1/(q;q^2)_1^2
-    n = 0
-    while (shift := 2 * n * n + 2 * n) <= order:
-        total[shift:] = map(add, total[shift:], inv_sq)
-        top = order - shift - 4 * n - 4  # the next shift is 2(n+1)^2 + 2(n+1)
-        idiv_one_minus(inv_sq, 1, 2 * n + 3, top, 2)
+    term = [1] + [0] * order
+    idiv_one_minus(term, c, 1, order, k)  # 1/(c*q;q^2)_1^k
+    n, shift = 0, d
+    while shift <= order:
+        total[shift:] = map(add, total[shift:], term)
         n += 1
+        shift = a * n * n + b * n + d
+        idiv_one_minus(term, c, 2 * n + 1, order - shift, k)
     return Series._trusted(total)
+
+
+def omega(order: int) -> Series:
+    """omega(q) by Watson's sum: the row Q(n) = 2n^2 + 2n, c = 1, k = 2."""
+    _check_order(order)
+    return _watson_sum(order, 2, 2, 0, 1, 2)
 
 
 def omega_fine(order: int) -> Series:
@@ -99,20 +105,9 @@ def omega_ady(order: int) -> Series:
 
 
 def psi(order: int) -> Series:
-    """psi(q) by its defining sum from n = 1; constant term is zero.
-
-    1/(q;q^2)_n is carried as one list through q^(order - n^2).
-    """
+    """psi(q) by Watson's sum from n = 1, reindexed from 0: Q(n) = (n+1)^2, c = k = 1."""
     _check_order(order)
-    total = [0] * (order + 1)
-    term = [1] + [0] * order
-    idiv_one_minus(term, 1, 1, order)
-    n = 1
-    while n * n <= order:
-        total[n * n :] = map(add, total[n * n :], term)
-        idiv_one_minus(term, 1, 2 * n + 1, order - (n + 1) ** 2)
-        n += 1
-    return Series._trusted(total)
+    return _watson_sum(order, 1, 2, 1, 1, 1)
 
 
 def psi_fine(order: int) -> Series:
@@ -127,24 +122,14 @@ def psi_fine(order: int) -> Series:
 
 
 def nu(order: int, sign: int = 1) -> Series:
-    """nu(q) (sign=+1) or nu(-q) (sign=-1) by Watson's defining sum.
+    """nu(q) (sign=+1) or nu(-q) (sign=-1) by Watson's sum: Q(n) = n^2 + n, c = -sign, k = 1.
 
-    n(n+1) is even, so nu(-q) = sum q^(n(n+1)) / (q;q^2)_{n+1} is computed
-    directly, not by flipping signs afterwards, and the two can be compared.
-    1/(-sign*q;q^2)_{n+1} is carried as one list through q^(order - n(n+1)).
+    n(n+1) is even, so nu(-q) is the row c = 1, not nu(q) with its signs flipped afterwards.
     """
     _check_order(order)
     if sign not in (-1, 1):
         raise QEngineError("sign must be -1 or +1")
-    total = [0] * (order + 1)
-    inv = [1] + [0] * order
-    idiv_one_minus(inv, -sign, 1, order)  # 1/(-sign*q;q^2)_1
-    n = 0
-    while (shift := n * n + n) <= order:
-        total[shift:] = map(add, total[shift:], inv)
-        idiv_one_minus(inv, -sign, 2 * n + 3, order - (n + 1) * (n + 2))
-        n += 1
-    return Series._trusted(total)
+    return _watson_sum(order, 1, 1, 0, -sign, 1)
 
 
 def nu_fine(order: int, sign: int = 1) -> Series:

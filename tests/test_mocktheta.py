@@ -6,7 +6,7 @@ import pytest
 
 from qplab import mocktheta
 from qplab.recipes import NegVar, evaluate
-from qplab.series import Series, idiv_one_minus
+from qplab.series import Series, SeriesError, idiv_one_minus
 from qplab.qengine import QEngineError
 from qplab.mocktheta import (
     MockThetaForm,
@@ -113,9 +113,15 @@ def test_mock_theta_form_validation():
         MockThetaForm("omega", "ady", -1)
     with pytest.raises(QEngineError):
         MockThetaForm("nu", "ady", 1)
-    for sign in (0, 2):
-        with pytest.raises(QEngineError):
-            nu_fine(5, sign)
+    for route, text in ((nu, "sign must be -1 or +1"), (nu_fine, "monomial sign must be -1 or +1")):
+        for sign in (0, 2):
+            with pytest.raises(QEngineError) as raised:
+                route(5, sign)
+            assert str(raised.value) == text
+    # the order is checked before the sign
+    with pytest.raises(SeriesError) as raised:
+        nu(-1, 0)
+    assert str(raised.value) == "cannot evaluate through q^-1: the order must be nonnegative"
 
 
 # ----------------------------------------------------------------------
