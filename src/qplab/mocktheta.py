@@ -127,13 +127,20 @@ def nu(order: int, sign: int = 1) -> Series:
     n(n+1) is even, so nu(-q) is the row c = 1, not nu(q) with its signs flipped afterwards.
     """
     _check_order(order)
+    _check_sign(sign)
+    return _watson_sum(order, 1, 1, 0, -sign, 1)
+
+
+def _check_sign(sign: int) -> None:
+    """The one refusal of a bad argument sign, for nu and nu_fine alike."""
     if sign not in (-1, 1):
         raise QEngineError("sign must be -1 or +1")
-    return _watson_sum(order, 1, 1, 0, -sign, 1)
 
 
 def nu_fine(order: int, sign: int = 1) -> Series:
     """Fine's sum_{n>=0} (-q)^n (q;q^2)_n (1988, s. 26) by the 2phi1 evaluator."""
+    _check_order(order)
+    _check_sign(sign)
     return phi21(
         Parameter.monomial(1, sign),
         Parameter.monomial(2),

@@ -7,9 +7,11 @@ plain integer power series.
 A product of binomials has one normal form, the exponent vector of Garvan's
 ``prodmake``: const * q^shift * prod (1 - s*q^e)^a, kept as {(s, e): a} and
 evaluated in one pass by ``_Product.series``.  The recipe fold, families E
-and F and each smallest-part sum's starting product build one; a lone
-Pochhammer, the steps of the two sums and ``rational_series`` use the
-in-place binomial kernels.
+and F and the starting product of each smallest-part sum that is carried
+build one; a lone Pochhammer, the steps of the two sums and
+``rational_series`` use the in-place binomial kernels.  A smallest-part sum
+whose factors are all infinite with a positive slope needs no starting
+product: Horner's rule sums it by the binomials that leave its factors.
 """
 
 from __future__ import annotations
@@ -414,18 +416,75 @@ def _advance(product: list[int], factors: Sequence[PochFactor], n: int, top: int
 def sum_over_smallest(template: TermTemplate, order: int) -> Series:
     """Evaluate a smallest-part sum; stops once the prefix passes the order.
 
-    The factor product P(n) is built at n = 0 from one exponent vector of
-    all the factors' binomials (``_rebuild``) and then carried from one n to
-    the next: P(n+1) is P(n) times the binomials that join each factor and
-    divided by those that leave it (PochFactor.moves), one O(order) kernel
-    call each.  A factor's slope is a multiple of its step, so only a few
-    binomials move per step and the sum costs O(order^2).  Where a binomial
-    with exponent 0 would have to be divided out, P(n+1) is rebuilt
-    instead, which raises the non-unit error where a denominator holds that
-    binomial.  P(n) is one list, kept only through q^(order - prefix(n)),
-    the part that lands within the order once shifted by q^prefix(n).
+    The summand is q^prefix(n) times the factor product P(n).  The rule
+    reads only the template's factors: when all are infinite with a
+    positive slope, each loses binomials from the bottom as n grows and
+    gains none, so P(n) is 1 through the order from some n on and the sum
+    takes Horner's rule (``_horner``), with no starting product.  A factor
+    of finite length gains binomials at its top end as n grows, and an
+    infinite one of slope 0 never loses any, so with either P(n)/P(n+1) is
+    no longer just the leaving binomials, or P(n) never reaches 1.  Such a
+    template keeps the carry (``_carry``) from P(0) upward: a Horner's rule
+    that also moved those binomials would cost about what the carry costs.
     """
     _check_order(order)
+    if _takes_horner(template):
+        return Series._trusted(_horner(template, order))
+    return Series._trusted(_carry(template, order))
+
+
+def _takes_horner(template: TermTemplate) -> bool:
+    """True when every factor is infinite with a positive slope, the rule of ``sum_over_smallest``."""
+    return all(f.length == LENGTH_INF and f.exp_slope for f in template.factors)
+
+
+def _horner(template: TermTemplate, order: int) -> list[int]:
+    """The sum by Horner's rule, for factors that are all infinite with a positive slope.
+
+    With top = order - prefix(0) and H = 0 at the start, each n takes
+    H <- (H + (+-1)^n q^(prefix(n) - prefix(0))) * P(n)/P(n+1) through q^top,
+    where P(n)/P(n+1) is each factor's binomials from its least exponent at
+    n to the one at n + 1: a numerator multiplies them in, a denominator
+    divides them out, one O(top) kernel call each.  Once the prefix is past
+    the order and every factor's least exponent is past top, P(n) is 1
+    through q^top, so H is the sum divided by q^prefix(0), with no starting
+    product and no per-term addition.  A denominator binomial at q^0 leaves
+    at n = 0, where ``idiv_one_minus`` raises the non-unit error.
+    """
+    shift = template.prefix(0)
+    top = order - shift
+    if top < 0:
+        return [0] * (order + 1)
+    last = max([top // template.prefix_slope]
+               + [(top - f.exp_offset) // f.exp_slope for f in template.factors])
+    factors = [(idiv_one_minus if f.denominator else imul_one_minus, f.sign, f.exp_slope,
+                f.exp_offset, f.step) for f in template.factors]
+    h = [0] * (top + 1)
+    for n in range(last + 1):
+        d = template.prefix_slope * n
+        if d <= top:
+            h[d] += -1 if template.alternating and n % 2 == 1 else 1
+        for kernel, sign, slope, offset, step in factors:
+            least = slope * n + offset
+            for e in range(least, min(least + slope, top + 1), step):
+                kernel(h, sign, e, top)
+    return [0] * shift + h
+
+
+def _carry(template: TermTemplate, order: int) -> list[int]:
+    """The sum by carrying the factor product P(n) from one n to the next.
+
+    P(n) is built at n = 0 from one exponent vector of all the factors'
+    binomials (``_rebuild``) and then carried: P(n+1) is P(n) times the
+    binomials that join each factor and divided by those that leave it
+    (PochFactor.moves), one O(order) kernel call each.  A factor's slope is
+    a multiple of its step, so only a few binomials move per step and the
+    sum costs O(order^2).  Where a binomial with exponent 0 would have to
+    be divided out, P(n+1) is rebuilt instead, which raises the non-unit
+    error where a denominator holds that binomial.  P(n) is one list, kept
+    only through q^(order - prefix(n)), the part that lands within the
+    order once shifted by q^prefix(n).
+    """
     total = [0] * (order + 1)
     product = None
     n = 0
@@ -437,7 +496,7 @@ def sum_over_smallest(template: TermTemplate, order: int) -> Series:
         # total[shift:] has top + 1 entries, so map reads product[:top+1] only
         total[shift:] = map(add if sign == 1 else sub, total[shift:], product)
         n += 1
-    return Series._trusted(total)
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -113,15 +113,25 @@ def test_mock_theta_form_validation():
         MockThetaForm("omega", "ady", -1)
     with pytest.raises(QEngineError):
         MockThetaForm("nu", "ady", 1)
-    for route, text in ((nu, "sign must be -1 or +1"), (nu_fine, "monomial sign must be -1 or +1")):
+    for route in (nu, nu_fine):
         for sign in (0, 2):
             with pytest.raises(QEngineError) as raised:
                 route(5, sign)
-            assert str(raised.value) == text
-    # the order is checked before the sign
-    with pytest.raises(SeriesError) as raised:
-        nu(-1, 0)
-    assert str(raised.value) == "cannot evaluate through q^-1: the order must be nonnegative"
+            assert str(raised.value) == "sign must be -1 or +1"
+        # the order is checked before the sign
+        with pytest.raises(SeriesError) as raised:
+            route(-1, 0)
+        assert str(raised.value) == "cannot evaluate through q^-1: the order must be nonnegative"
+
+
+def test_both_nu_routes_refuse_a_bad_sign_with_one_text():
+    # the text names the argument the caller passed, not a Pochhammer parameter
+    messages = set()
+    for route in (nu, nu_fine):
+        with pytest.raises(QEngineError) as raised:
+            route(5, 0)
+        messages.add(str(raised.value))
+    assert len(messages) == 1
 
 
 # ----------------------------------------------------------------------

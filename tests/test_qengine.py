@@ -306,6 +306,45 @@ def test_sum_over_smallest_matches_term_rebuilding_oracle(rng):
             assert sum_over_smallest(template, n) == Series(expect), (template, n)
 
 
+def _draw_leaving_factor(rng):
+    """A factor that only loses binomials as n grows: infinite, with a positive slope."""
+    step = rng.randint(1, 3)
+    sign = rng.choice((1, -1))
+    offset = rng.randint(1 if sign == 1 else 0, 4)  # (q^0; q^k)_inf is refused outright
+    return PochFactor(sign, step * rng.randint(1, 2), offset, step, LENGTH_INF, rng.random() < 0.4)
+
+
+def test_horners_rule_matches_term_rebuilding_oracle(rng, monkeypatch):
+    # these templates take Horner's rule, so the carry must never run
+    def carry(template, order):
+        raise AssertionError(f"{template} was carried")
+
+    monkeypatch.setattr(qengine, "_carry", carry)
+    shapes = {"alternating": 0, "denominator": 0, "doubling": 0, "error": 0}
+    for _ in range(200):
+        factors = tuple(_draw_leaving_factor(rng) for _ in range(rng.randint(1, 4)))
+        template = TermTemplate(rng.randint(1, 3), rng.randint(0, 2), factors, rng.random() < 0.3)
+        n = rng.randint(0, 30)
+        plain = [(f.sign, f.exp_slope, f.exp_offset, f.step, f.length, f.denominator)
+                 for f in factors]
+        expect = oracles.smallest_part_sum(
+            template.prefix_slope, template.prefix_offset, plain, template.alternating, n
+        )
+        if expect is None:
+            # 1/(-1; q^k)_inf has the constant 1/2 at n = 0
+            with pytest.raises(SeriesError, match="^cannot invert a series with constant coefficient 2; "):
+                sum_over_smallest(template, n)
+            shapes["error"] += 1
+            continue
+        assert sum_over_smallest(template, n) == Series(expect), (template, n)
+        if template.prefix(1) <= n:  # a sum of two terms at least
+            shapes["alternating"] += template.alternating
+            shapes["denominator"] += any(f.denominator for f in factors)
+            # (-1; q^k)_inf = 2 (-q^k; q^k)_inf in a numerator
+            shapes["doubling"] += any(f.exp_offset == 0 for f in factors)
+    assert min(shapes.values()) >= 5, shapes
+
+
 _SLOPE = "argument exponent slope must be a multiple of the factor step"
 _VANISHES = "(q^0; q^k)_inf vanishes; refusing to build it"
 

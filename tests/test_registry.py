@@ -136,33 +136,78 @@ def test_product_vs_product_cases_can_fail(monkeypatch, case_id, mutants):
     assert killed == mutants
 
 
-def test_every_case_on_the_exponent_vector_can_fail(monkeypatch):
-    # A fold mutant: each vector with a nonzero power comes out one too large
-    # at q^1.  A case whose evaluation uses such a vector must then mismatch;
-    # one that passes compares a vector with itself, and no fold error shows.
-    changed = []
+def _vector_mutant(inner, changed):
+    # each vector with a nonzero power comes out one too large at q^1
+    def mutant(exponents, top):
+        g = inner(exponents, top)
+        if top >= 1 and any(exponents.values()):
+            g[1] += 1
+            changed.append(exponents)
+        return g
+    return mutant
 
-    def off_by_one(inner):
-        def mutant(exponents, top):
-            g = inner(exponents, top)
-            if top >= 1 and any(exponents.values()):
-                g[1] += 1
-                changed.append(exponents)
-            return g
-        return mutant
 
-    monkeypatch.setattr(qengine, "_euler", off_by_one(qengine._euler))
-    monkeypatch.setattr(qengine, "_binomial_product", off_by_one(qengine._binomial_product))
-    on_the_vector, passed = [], []
-    for case in registry.list_identities():
-        changed.clear()
-        report = registry.verify(case.id)
-        if changed:
-            on_the_vector.append(case.id)
-            if report.status != registry.STATUS_MISMATCH:
-                passed.append(case.id)
+def _horner_mutant(inner, changed):
+    # each sum by Horner's rule comes out one too large at q^(prefix(0) + 1)
+    def mutant(template, order):
+        total = inner(template, order)
+        if template.prefix(0) + 1 <= order:
+            total[template.prefix(0) + 1] += 1
+            changed.append(template)
+        return total
+    return mutant
+
+
+#: each engine mutant: the qengine functions it wraps and the wrapper
+_ENGINE_MUTANTS = {
+    "vector": (("_euler", "_binomial_product"), _vector_mutant),
+    "horner": (("_horner",), _horner_mutant),
+}
+
+
+@pytest.fixture(scope="module")
+def engine_mutant_reach():
+    """For each engine mutant, the cases whose evaluation it changes and those of them that still pass.
+
+    A case whose evaluation the mutant changes must then mismatch; one that
+    passes compares the mutated route with itself, and no error of that
+    route shows.
+    """
+    reach = {}
+    for name, (targets, wrap) in _ENGINE_MUTANTS.items():
+        changed, reached, passed = [], [], []
+        with pytest.MonkeyPatch.context() as patch:
+            for target in targets:
+                patch.setattr(qengine, target, wrap(getattr(qengine, target), changed))
+            for case in registry.list_identities():
+                changed.clear()
+                report = registry.verify(case.id)
+                if changed:
+                    reached.append(case.id)
+                    if report.status != registry.STATUS_MISMATCH:
+                        passed.append(case.id)
+        reach[name] = reached, passed
+    return reach
+
+
+def test_every_case_on_the_exponent_vector_can_fail(engine_mutant_reach):
+    reached, passed = engine_mutant_reach["vector"]
     assert passed == []
-    assert len(on_the_vector) >= 49
+    assert len(reached) >= 28
+
+
+def test_every_case_on_horners_rule_can_fail(engine_mutant_reach):
+    reached, passed = engine_mutant_reach["horner"]
+    assert passed == []
+    assert len(reached) >= 25
+
+
+def test_the_engine_mutants_reach_49_cases(engine_mutant_reach):
+    # the smallest-part templates left the vector for Horner's rule, so the
+    # cases the two mutants reach together stay at least the 49 the vector
+    # mutant reached alone before
+    reached = {case_id for route in engine_mutant_reach.values() for case_id in route[0]}
+    assert len(reached) >= 49
 
 
 def test_pure_series_cases_take_requested_order():
