@@ -447,9 +447,9 @@ def _horner(template: TermTemplate, order: int) -> list[int]:
     n to the one at n + 1: a numerator multiplies them in, a denominator
     divides them out, one O(top) kernel call each.  Once the prefix is past
     the order and every factor's least exponent is past top, P(n) is 1
-    through q^top, so H is the sum divided by q^prefix(0), with no starting
-    product and no per-term addition.  A denominator binomial at q^0 leaves
-    at n = 0, where ``idiv_one_minus`` raises the non-unit error.
+    through q^top and H is the sum divided by q^prefix(0).  A denominator
+    binomial at q^0 leaves at n = 0, where ``idiv_one_minus`` raises the
+    non-unit error.
     """
     shift = template.prefix(0)
     top = order - shift
@@ -465,6 +465,7 @@ def _horner(template: TermTemplate, order: int) -> list[int]:
         if d <= top:
             h[d] += -1 if template.alternating and n % 2 == 1 else 1
         for kernel, sign, slope, offset, step in factors:
+            # the leaving head of PochFactor.moves, without the cost of a call per factor and n
             least = slope * n + offset
             for e in range(least, min(least + slope, top + 1), step):
                 kernel(h, sign, e, top)
