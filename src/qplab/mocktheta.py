@@ -8,13 +8,14 @@ smallest-part style sums ("ady") that tie them to restricted partitions:
     psi(q)   = sum_{n>=1} q^(n^2) / (q;q^2)_n
     nu(q)    = sum_{n>=0} q^(n(n+1)) / (-q;q^2)_{n+1}
 
-These three are rows of one loop, ``_watson_sum``.  omega_fine has the same
-shape but keeps its own loop, because the catalog compares it with omega.
+These three are rows of one loop, ``_watson_sum``; the fine sums of omega and
+psi and the two ady sums, built by term ratios, are rows of a second one,
+``_ratio_sum``.  Each loop states once the top through which its next term is
+kept.  They stay apart: each catalog case that reaches a ratio route has a
+Watson sum on its other side, so no case compares two rows of one loop.
 psi's sum is taken from n = 1 so that its constant term vanishes; the n = 0
 convention would add a constant 1 that none of its other representations
-carry.  nu's "fine" form is Fine's sum_{n>=0} (-q)^n (q;q^2)_n.  The routes
-are computationally independent, which is what makes the cross-checks in the
-identity catalog meaningful.
+carry.  nu's "fine" form is Fine's sum_{n>=0} (-q)^n (q;q^2)_n.
 
 ``_ROUTES`` lists every route that exists, keyed by (function, form,
 argument_sign): a ``MockThetaForm`` names one of its keys and ``mock_theta``
@@ -68,6 +69,21 @@ def _watson_sum(order: int, a: int, b: int, d: int, c: int, k: int) -> Series:
     return Series._trusted(total)
 
 
+def _ratio_sum(order: int, shift: int, term: list[int], ratio: list[tuple]) -> Series:
+    """sum_{n>=0} q^(n+shift) T(n), where T(0) is `term`, kept in place as one list.
+
+    Each row (kernel, c, a, b) of `ratio` multiplies or divides T(n) by
+    1 - c*q^(a*n+b) to give T(n+1), through q^(order - n - shift - 1), the part
+    of it that lands within the order.
+    """
+    total = [0] * (order + 1)
+    for n in range(order - shift + 1):
+        total[n + shift :] = map(add, total[n + shift :], term)
+        for kernel, c, a, b in ratio:
+            kernel(term, c, a * n + b, order - n - shift - 1)
+    return Series._trusted(total)
+
+
 def omega(order: int) -> Series:
     """omega(q) by Watson's sum: the row Q(n) = 2n^2 + 2n, c = 1, k = 2."""
     _check_order(order)
@@ -75,33 +91,22 @@ def omega(order: int) -> Series:
 
 
 def omega_fine(order: int) -> Series:
-    """omega(q) = sum_{n>=0} q^n / (q;q^2)_{n+1}, built by term ratios."""
+    """omega(q) = sum_{n>=0} q^n / (q;q^2)_{n+1}, by term ratios."""
     _check_order(order)
-    total = [0] * (order + 1)
-    term = [1] + [0] * order  # the n-th term without its q^n
-    idiv_one_minus(term, 1, 1, order)
-    for n in range(order + 1):
-        total[n:] = map(add, total[n:], term)
-        idiv_one_minus(term, 1, 2 * n + 3, order - n - 1)
-    return Series._trusted(total)
+    term = [1] + [0] * order
+    idiv_one_minus(term, 1, 1, order)  # 1/(q;q^2)_1
+    return _ratio_sum(order, 0, term, [(idiv_one_minus, 1, 2, 3)])
 
 
 def omega_ady(order: int) -> Series:
-    """sum_{n>=1} q^n / ((1-q^n) (q^(n+1);q)_n (q^(2n+2);q^2)_inf) = q*omega(q)."""
+    """sum_{n>=1} q^n / ((1-q^n) (q^(n+1);q)_n (q^(2n+2);q^2)_inf) = q*omega(q), from n = 1."""
     _check_order(order)
-    total = [0] * (order + 1)
     if order < 1:
-        return Series._trusted(total)
-    # the n-th term without its q^n, through q^(order - n)
+        return Series._trusted([0] * (order + 1))
     term = list(poch_infinite(Parameter.monomial(4), 2, order - 1).invert().coeffs)
     idiv_one_minus(term, 1, 1, order - 1)
     idiv_one_minus(term, 1, 2, order - 1)
-    for n in range(1, order + 1):
-        total[n:] = map(add, total[n:], term)
-        # term ratio: q (1-q^n) / (1-q^(2n+1))
-        imul_one_minus(term, 1, n, order - n - 1)
-        idiv_one_minus(term, 1, 2 * n + 1, order - n - 1)
-    return Series._trusted(total)
+    return _ratio_sum(order, 1, term, [(imul_one_minus, 1, 1, 1), (idiv_one_minus, 1, 2, 3)])
 
 
 def psi(order: int) -> Series:
@@ -111,14 +116,9 @@ def psi(order: int) -> Series:
 
 
 def psi_fine(order: int) -> Series:
-    """psi(q) = sum_{n>=0} (-q^2;q^2)_n q^(n+1), built by term ratios."""
+    """psi(q) = sum_{n>=0} (-q^2;q^2)_n q^(n+1), by term ratios."""
     _check_order(order)
-    total = [0] * (order + 1)
-    term = [1] + [0] * order  # (-q^2;q^2)_n, through q^(order - n - 1)
-    for n in range(order):
-        total[n + 1 :] = map(add, total[n + 1 :], term)
-        imul_one_minus(term, -1, 2 * n + 2, order - n - 2)
-    return Series._trusted(total)
+    return _ratio_sum(order, 1, [1] + [0] * order, [(imul_one_minus, -1, 2, 2)])
 
 
 def nu(order: int, sign: int = 1) -> Series:
@@ -152,17 +152,10 @@ def nu_fine(order: int, sign: int = 1) -> Series:
 
 
 def nu_ady(order: int) -> Series:
-    """sum_{n>=0} q^n (-q^(n+1);q)_n (-q^(2n+2);q^2)_inf = nu(-q)."""
+    """sum_{n>=0} q^n (-q^(n+1);q)_n (-q^(2n+2);q^2)_inf = nu(-q), by term ratios."""
     _check_order(order)
-    total = [0] * (order + 1)
-    # the n-th term without its q^n, through q^(order - n)
     term = list(poch_infinite(Parameter.monomial(2, -1), 2, order).coeffs)
-    for n in range(order + 1):
-        total[n:] = map(add, total[n:], term)
-        # term ratio: q (1+q^(2n+1)) / (1+q^(n+1))
-        imul_one_minus(term, -1, 2 * n + 1, order - n - 1)
-        idiv_one_minus(term, -1, n + 1, order - n - 1)
-    return Series._trusted(total)
+    return _ratio_sum(order, 0, term, [(imul_one_minus, -1, 2, 1), (idiv_one_minus, -1, 1, 1)])
 
 
 def theta_squares(order: int, alternating: bool = False) -> Series:

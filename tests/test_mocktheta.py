@@ -1,12 +1,23 @@
+"""The mock theta routes: each against the oracles, the route table and each other.
+
+Tier-1 compares each ratio route with a Watson sum, and nu's three sums at -q
+with one another, at 1200.  Run as a script,
+``PYTHONPATH=src python tests/test_mocktheta.py 3000`` makes those comparisons
+at each order it is given and exits 1 on any difference.
+"""
+
 import hashlib
 import itertools
 import math
+import sys
+import time
+from collections import Counter
 
 import pytest
 
 from qplab import mocktheta
 from qplab.recipes import NegVar, evaluate
-from qplab.series import Series, SeriesError, idiv_one_minus
+from qplab.series import Series, SeriesError
 from qplab.qengine import QEngineError
 from qplab.mocktheta import (
     MockThetaForm,
@@ -236,30 +247,83 @@ def test_loop_matches_oracle(name, n):
     assert LOOPS[name](n).coeffs == tuple(_oracle(name, n))
 
 
+def _kernel_calls(monkeypatch) -> Counter:
+    """The calls to each kernel through mocktheta's module globals, counted from now on."""
+    calls = Counter()
+    for name in ("imul_one_minus", "idiv_one_minus"):
+
+        def counting(*args, kernel=getattr(mocktheta, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(mocktheta, name, counting)
+    return calls
+
+
 def test_short_sums_call_the_kernel_about_sqrt_order_times(monkeypatch):
     # Watson's sums have about sqrt(order) terms, one or two divisions each;
     # a dense O(order) loop of kernel calls would be O(order^2) in all
     order = 1200
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return idiv_one_minus(*args)
-
-    monkeypatch.setattr(mocktheta, "idiv_one_minus", counting)
+    calls = _kernel_calls(monkeypatch)
     bound = 2 * math.isqrt(order) + 4
     for name in ("omega", "psi", "nu", "nu-neg"):
         calls.clear()
         LOOPS[name](order)
-        assert 0 < len(calls) <= bound, name
+        assert 0 < calls["idiv_one_minus"] <= bound, name
 
 
-def test_watson_nu_matches_ady_sum_deep():
-    # Watson's sum at -q against the partition-flavored sum, and the +q
-    # evaluation with its variable negated afterwards
-    ady = nu_ady(1200)
-    assert nu(1200, -1) == ady
-    assert nu(1200).negate_variable() == ady
+#: each ratio route's kernel calls at order 60: those that build its first
+#: term, then one per row of its term ratio for each n
+RATIO_CALLS_AT_60 = {
+    "omega_fine": {"idiv_one_minus": 62},
+    "omega_ady": {"idiv_one_minus": 62, "imul_one_minus": 60},
+    "psi_fine": {"imul_one_minus": 60},
+    "nu_ady": {"imul_one_minus": 61, "idiv_one_minus": 61},
+}
+
+
+@pytest.mark.parametrize("name", RATIO_CALLS_AT_60)
+def test_a_wrapper_on_the_kernel_globals_sees_every_ratio_route_call(monkeypatch, name):
+    # the rows of a term ratio must read the kernels from the module's globals
+    # at call time; a row table built once at import would hold the originals
+    calls = _kernel_calls(monkeypatch)
+    LOOPS[name](60)
+    assert calls == RATIO_CALLS_AT_60[name]
+
+
+#: the series the deep check compares, by name
+DEEP_SERIES = {
+    "omega": omega,
+    "omega_fine": omega_fine,
+    "q*omega": lambda n: omega(n).shifted(1),
+    "omega_ady": omega_ady,
+    "psi": psi,
+    "psi_fine": psi_fine,
+    "nu(-q)": lambda n: nu(n, -1),
+    "nu(q) at -q": lambda n: nu(n).negate_variable(),
+    "nu_ady": nu_ady,
+    # no catalog case evaluates the Fine sum at -q, so it is checked at depth here
+    "nu_fine(-q)": lambda n: nu_fine(n, -1),
+}
+#: each ratio route against a Watson sum, and nu's three sums at -q against the ady sum
+DEEP_PAIRS = [
+    ("omega_fine", "omega"),
+    ("omega_ady", "q*omega"),
+    ("psi_fine", "psi"),
+    ("nu(-q)", "nu_ady"),
+    ("nu(q) at -q", "nu_ady"),
+    ("nu_fine(-q)", "nu_ady"),
+]
+
+
+def deep_differences(order: int) -> list[str]:
+    """The pairs of DEEP_PAIRS whose series differ through q^order."""
+    series = {name: f(order) for name, f in DEEP_SERIES.items()}
+    return [f"{a} != {b}" for a, b in DEEP_PAIRS if series[a] != series[b]]
+
+
+def test_ratio_routes_match_watson_sums_deep():
+    assert deep_differences(1200) == []
 
 
 #: sha256 (first 16 hex digits) of the comma-joined coefficients at order
@@ -281,3 +345,17 @@ PINNED_300 = {
 def test_loop_matches_pinned_output_at_order_300(name):
     text = ",".join(map(str, LOOPS[name](300).coeffs))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == PINNED_300[name]
+
+
+if __name__ == "__main__":
+    failed = False
+    for arg in sys.argv[1:]:
+        order = int(arg)
+        start = time.perf_counter()
+        wrong = deep_differences(order)
+        took = time.perf_counter() - start
+        print(f"order {order}: {len(DEEP_PAIRS) - len(wrong)} of {len(DEEP_PAIRS)} pairs equal ({took:.2f} s)")
+        for line in wrong:
+            print(f"  {line}")
+        failed = failed or bool(wrong)
+    sys.exit(1 if failed else 0)
