@@ -297,6 +297,63 @@ def test_distinct_ady_counts_with_zero_part_match_nu_at_large_n():
     assert P.count_ady(LARGE_N, distinct=True, allow_zero_part=True) == table[LARGE_N]
 
 
+#: (distinct, allow_zero_part) of each kind of bounded-odd partition
+ADY_KINDS = ((False, False), (True, False), (True, True))
+
+
+@pytest.mark.parametrize("distinct, allow_zero_part", ADY_KINDS)
+def test_ady_count_is_the_table_entry_for_every_n_through_200(distinct, allow_zero_part):
+    table = P.ady_counts(200, distinct, allow_zero_part)
+    assert [P.count_ady(n, distinct, allow_zero_part) for n in range(201)] == table
+
+
+def _ady_kernel_calls(monkeypatch, count, *args):
+    """The (kernel, c, e, top) of each binomial kernel call that count(*args) makes."""
+    calls = []
+    for name in ("imul_one_minus", "idiv_one_minus"):
+        def record(coeffs, c, e, top, *rest, name=name, kernel=getattr(P, name)):
+            calls.append((name, c, e, top))
+            return kernel(coeffs, c, e, top, *rest)
+
+        monkeypatch.setattr(P, name, record)
+    count(*args)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("distinct, allow_zero_part", ADY_KINDS)
+def test_ady_count_and_table_make_the_same_kernel_calls(monkeypatch, distinct, allow_zero_part):
+    # one walk of the recurrence serves both, so the count keeps no copy of it
+    for n in [*range(41), 120]:
+        args = (n, distinct, allow_zero_part)
+        calls = _ady_kernel_calls(monkeypatch, P.count_ady, *args)
+        assert calls == _ady_kernel_calls(monkeypatch, P.ady_counts, *args), n
+        assert n < 2 or calls
+
+
+def ady_differences(order: int) -> list[str]:
+    """Each count_ady at a handful of n <= order that differs from Watson's sums.
+
+    count_ady(n, False) is [q^n] q*omega(q) and count_ady(n, True, True) is
+    [q^n] nu(-q), both read off `mocktheta`'s defining sums through q^order.
+    """
+    q_omega = [0, *omega(order).coeffs]
+    nu_at_minus_q = nu(order, sign=-1).coeffs
+    picked = sorted({n for n in (0, 1, 2, 3, 10, 100, 1000, order // 2, order - 1, order)
+                     if 0 <= n <= order})
+    wrong = []
+    for n in picked:
+        if P.count_ady(n, False) != q_omega[n]:
+            wrong.append(f"count_ady({n}, False) != [q^{n}] q*omega(q)")
+        if P.count_ady(n, True, True) != nu_at_minus_q[n]:
+            wrong.append(f"count_ady({n}, True, True) != [q^{n}] nu(-q)")
+    return wrong
+
+
+def test_ady_counts_match_watson_sums_at_a_handful_of_n():
+    assert ady_differences(400) == []
+
+
 @pytest.mark.parametrize("odd_only", (False, True))
 def test_overpartition_counts_match_products_at_large_n(odd_only):
     # (-q; q^k)_inf / (q; q^k)_inf, k = 2 for odd parts
@@ -560,3 +617,18 @@ def test_colored_part_validation():
         P.ColoredPart(0, "b")
     with pytest.raises(P.PartitionError):
         P.ColoredPart(2, "r")
+
+
+if __name__ == "__main__":
+    # python tests/test_partitions.py ORDER...: count_ady against Watson's sums
+    failed = False
+    for arg in sys.argv[1:]:
+        order = int(arg)
+        start = time.perf_counter()
+        wrong = ady_differences(order)
+        took = time.perf_counter() - start
+        print(f"count_ady through n = {order} against Watson's sums: {len(wrong)} differences ({took:.2f} s)")
+        for line in wrong:
+            print(f"  {line}")
+        failed = failed or bool(wrong)
+    sys.exit(1 if failed else 0)
