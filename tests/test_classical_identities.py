@@ -129,13 +129,7 @@ def q_gauss(rng, k, order) -> Draw:
     return Draw(f"q-gauss a={a!r} b={b!r} c={c!r}", engine_sides(lhs, rhs, order), False)
 
 
-IDENTITIES = {
-    "q-binomial": q_binomial,
-    "heine-1": heine_1,
-    "heine-2": heine_2,
-    "heine-3": heine_3,
-    "q-gauss": q_gauss,
-}
+IDENTITIES = (q_binomial, heine_1, heine_2, heine_3, q_gauss)
 
 
 def jacobi(alternating: bool, order: int) -> Draw:
@@ -156,17 +150,17 @@ def jacobi(alternating: bool, order: int) -> Draw:
 
 
 def draws(count: int, low: int, high: int, seed: int) -> list[Draw]:
-    """`count` draws of each 2phi1 identity at orders in low..high, and both theta series at its squares."""
+    """`count` draws of each 2phi1 identity at orders low..high, both theta series at each square there."""
     rng = random.Random(seed)
     out = []
-    for identity in IDENTITIES.values():
+    for identity in IDENTITIES:
         for _ in range(count):
             k, order = rng.randint(1, 3), rng.randint(low, high)
             draw = identity(rng, k, order)
             out.append(draw._replace(text=f"{draw.text}, step {k}, order {order}"))
     # the theta series' last term lands on a square order, where a missed top term shows
-    for root in range(math.isqrt(low - 1) + 1, math.isqrt(high) + 1):
-        for alternating in (False, True):
+    for root in range(math.isqrt(high) + 1):
+        for alternating in (False, True) if root * root >= low else ():
             draw = jacobi(alternating, root * root)
             out.append(draw._replace(text=f"{draw.text}, order {root * root}"))
     return out
