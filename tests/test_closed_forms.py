@@ -1,7 +1,7 @@
 """Theorems checked through ``evaluate`` with no second route.
 
 Every catalog case compares two routes, but the routes share their kernels
-(``imul_one_minus``, ``idiv_one_minus``, ``_euler``), so a fault in one
+(``imul_one_minus``, ``idiv_one_minus``, ``_eta_quotient``), so a fault in one
 kernel can move both sides alike.  A closed form or a congruence needs no
 second route:
 
@@ -9,7 +9,9 @@ second route:
   numbers k(3k -+ 1)/2, with sign (-1)^k, and 0 elsewhere.  A lone ``Poch``
   is expanded by ``imul_one_minus``.
 * Jacobi's identity: (q;q)_inf^3 = sum_{n >= 0} (-1)^n (2n + 1) q^(n(n+1)/2).
-  The cube folds into one exponent vector, which ``_euler`` expands.
+  The cube folds into one exponent vector, which ``_eta_quotient`` reads
+  as (q;q)_inf^3 and expands by three multiplies by the pentagonal series,
+  at 600 and at 5000.
 * Partitions into parts at most 3 number round((n + 3)^2 / 12), so
   1/((1 - q)(1 - q^2)(1 - q^3)) has those coefficients, and the same product
   at -q has them with sign (-1)^n.  A ``RationalGF`` takes one

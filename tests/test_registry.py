@@ -158,10 +158,25 @@ def _horner_mutant(inner, changed):
     return mutant
 
 
-#: each engine mutant: the qengine functions it wraps and the wrapper
+def _eta_mutant(inner, changed):
+    # each vector that takes the eta quotient route comes out one too large at q^1
+    def mutant(exponents, top):
+        g = inner(exponents, top)
+        if top >= qengine._ETA_MIN_TOP:
+            g[1] += 1
+            changed.append(exponents)
+        return g
+    return mutant
+
+
+#: each engine mutant: the qengine functions it wraps, the wrapper and the
+#: order each case is verified at (None: its default order).  The default
+#: orders' dense vectors have top 60 or less and keep ``_euler``, so the eta
+#: mutant runs at 200.
 _ENGINE_MUTANTS = {
-    "vector": (("_euler", "_binomial_product"), _vector_mutant),
-    "horner": (("_horner",), _horner_mutant),
+    "vector": (("_euler", "_binomial_product"), _vector_mutant, None),
+    "horner": (("_horner",), _horner_mutant, None),
+    "eta": (("_eta_quotient",), _eta_mutant, 200),
 }
 
 
@@ -174,14 +189,14 @@ def engine_mutant_reach():
     route shows.
     """
     reach = {}
-    for name, (targets, wrap) in _ENGINE_MUTANTS.items():
+    for name, (targets, wrap, order) in _ENGINE_MUTANTS.items():
         changed, reached, passed = [], [], []
         with pytest.MonkeyPatch.context() as patch:
             for target in targets:
                 patch.setattr(qengine, target, wrap(getattr(qengine, target), changed))
             for case in registry.list_identities():
                 changed.clear()
-                report = registry.verify(case.id)
+                report = registry.verify(case.id, order)
                 if changed:
                     reached.append(case.id)
                     if report.status != registry.STATUS_MISMATCH:
@@ -202,11 +217,18 @@ def test_every_case_on_horners_rule_can_fail(engine_mutant_reach):
     assert len(reached) >= 25
 
 
+def test_every_case_on_the_eta_quotient_route_can_fail(engine_mutant_reach):
+    # at 200 the dense vectors of 20 cases take the route
+    reached, passed = engine_mutant_reach["eta"]
+    assert passed == []
+    assert len(reached) >= 20
+
+
 def test_the_engine_mutants_reach_49_cases(engine_mutant_reach):
     # the smallest-part templates left the vector for Horner's rule, so the
-    # cases the two mutants reach together stay at least the 49 the vector
-    # mutant reached alone before
-    reached = {case_id for route in engine_mutant_reach.values() for case_id in route[0]}
+    # cases the vector and Horner mutants reach together stay at least the 49
+    # the vector mutant reached alone before
+    reached = {case_id for name in ("vector", "horner") for case_id in engine_mutant_reach[name][0]}
     assert len(reached) >= 49
 
 
