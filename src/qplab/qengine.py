@@ -267,8 +267,8 @@ def _euler(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
 #: ``_eta_quotient`` takes ``_euler`` below this top, where the route's
 #: set-up costs more than its passes save.  On the catalog's dense vectors
 #: (Python 3.11, 2 vCPUs, best of 40) the route takes 1.03-1.19 of
-#: ``_euler``'s time at tops 36-48, 0.93-1.15 at 60, 0.78 at 80 and 0.57 at
-#: 120.  So the default orders' tops, 59 and 60, keep ``_euler``.
+#: ``_euler``'s time at tops 36-48, 0.93-1.15 at 60, 0.78 at 80 and
+#: 0.57-0.62 at 120.  So the default orders' tops, 59 and 60, keep ``_euler``.
 _ETA_MIN_TOP = 80
 
 
@@ -304,10 +304,10 @@ def _eta_quotient(exponents: dict[tuple[int, int], int], top: int) -> list[int]:
     wrong = list(compress(range(1, top + 1), map(ne, m[1:], expected[1:])))
     if (sum(map(abs, r.values())) + sum(abs(m[e] - expected[e]) for e in wrong)) ** 2 > top:
         return _euler(exponents, top)
-    passes = [d for d in (12, 6, 4, 3, 2) if r[d]] + [1]  # d = 1 last, to end at step 1
-    step = passes[0]
+    divisors = [d for d in (12, 6, 4, 3, 2) if r[d]] + [1]  # d = 1 last, to end at step 1
+    step = divisors[0]
     g = [1] + [0] * (top // step)
-    for d in passes:
+    for d in divisors:
         if d % step:
             new, old = gcd(step, d), g
             g = [0] * (top // new + 1)
